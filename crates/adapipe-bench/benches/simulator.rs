@@ -1,7 +1,7 @@
 //! Throughput of the discrete-event schedule simulator across schedule
 //! families and pipeline scales.
 
-use adapipe_sim::{schedule, simulate, StageExec};
+use adapipe_sim::{schedule, simulate, Recorder, StageExec};
 use adapipe_units::{Bytes, MicroSecs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,11 +26,11 @@ fn bench_simulator(c: &mut Criterion) {
             &st,
             |b, st| {
                 b.iter(|| {
-                    simulate(black_box(&schedule::one_f_one_b(
-                        st,
-                        n,
-                        MicroSecs::new(1e-4),
-                    )))
+                    simulate(
+                        black_box(&schedule::one_f_one_b(st, n, MicroSecs::new(1e-4))),
+                        &Recorder::disabled(),
+                    )
+                    .unwrap()
                 });
             },
         );
@@ -38,7 +38,13 @@ fn bench_simulator(c: &mut Criterion) {
             BenchmarkId::new("gpipe", format!("p{p}_n{n}")),
             &st,
             |b, st| {
-                b.iter(|| simulate(black_box(&schedule::gpipe(st, n, MicroSecs::new(1e-4)))));
+                b.iter(|| {
+                    simulate(
+                        black_box(&schedule::gpipe(st, n, MicroSecs::new(1e-4))),
+                        &Recorder::disabled(),
+                    )
+                    .unwrap()
+                });
             },
         );
         group.bench_with_input(
@@ -46,12 +52,11 @@ fn bench_simulator(c: &mut Criterion) {
             &st,
             |b, st| {
                 b.iter(|| {
-                    simulate(black_box(&schedule::chimera(
-                        st,
-                        n,
-                        MicroSecs::new(1e-4),
-                        false,
-                    )))
+                    simulate(
+                        black_box(&schedule::chimera(st, n, MicroSecs::new(1e-4), false)),
+                        &Recorder::disabled(),
+                    )
+                    .unwrap()
                 });
             },
         );

@@ -1,10 +1,10 @@
 //! A sharded, LRU-bounded cache from 32-byte content digests to shared
-//! values — the engine behind the process-global subproblem cache.
+//! values — the engine behind both the process-global subproblem cache
+//! and `adapipe-serve`'s plan cache.
 //!
-//! The shape mirrors `adapipe-serve`'s plan cache (independently-locked
-//! shards, per-shard monotone tick for deterministic LRU order) but is
-//! generic over the value and keyed by raw [`crate::sha256`] digests,
-//! and it additionally keeps exact hit/miss/eviction counters plus
+//! Shards are independently locked and each keeps a monotone tick for
+//! a deterministic LRU order. Values are keyed by raw [`crate::sha256`]
+//! digests. The cache keeps exact hit/miss/eviction counters plus
 //! approximate byte accounting so `/metrics` can report `subcache.*`
 //! gauges. Values are handed out as `Arc` clones: a hit never copies
 //! the cached payload and eviction never invalidates a value a reader
@@ -20,19 +20,19 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub type Digest = [u8; 32];
 
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry<V: ?Sized> {
     value: Arc<V>,
     bytes: u64,
     last_used: u64,
 }
 
 #[derive(Debug)]
-struct Shard<V> {
+struct Shard<V: ?Sized> {
     entries: HashMap<Digest, Entry<V>>,
     tick: u64,
 }
 
-impl<V> Default for Shard<V> {
+impl<V: ?Sized> Default for Shard<V> {
     fn default() -> Self {
         Shard {
             entries: HashMap::new(),
@@ -43,7 +43,7 @@ impl<V> Default for Shard<V> {
 
 /// A sharded LRU cache from content digest to `Arc<V>`.
 #[derive(Debug)]
-pub struct ShardedCache<V> {
+pub struct ShardedCache<V: ?Sized> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard: usize,
     capacity: usize,
@@ -53,16 +53,22 @@ pub struct ShardedCache<V> {
     bytes: AtomicU64,
 }
 
-impl<V> ShardedCache<V> {
-    /// How many independently-locked shards the cache splits into (or
-    /// fewer for tiny capacities, so `capacity` stays exact).
-    pub const SHARDS: usize = 16;
-
+impl<V: ?Sized> ShardedCache<V> {
     /// A cache holding at most `capacity` entries (floored at 1).
+    ///
+    /// The shard count derives from the capacity as
+    /// `(capacity / 32).clamp(1, 16)`, each shard holding
+    /// `capacity.div_ceil(shards)` entries. Eviction is LRU within a
+    /// shard only, so the smaller the shard, the more often it evicts
+    /// an entry the cache-wide LRU order would keep; at least 32 per
+    /// shard keeps the daemon's 256-plan cache (8 shards) close to one
+    /// global LRU in hit ratio. Large caches split into up to 16
+    /// shards so concurrent workers rarely share a lock (the
+    /// 65,536-leaf subproblem cache gets 16 shards of 4,096).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let shard_count = Self::SHARDS.min(capacity);
+        let shard_count = (capacity / 32).clamp(1, 16);
         ShardedCache {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(Shard::default()))
@@ -141,7 +147,7 @@ impl<V> ShardedCache<V> {
     /// Inserts (or refreshes) `key`, declaring the entry's approximate
     /// payload size for the `subcache.bytes` gauge; returns how many
     /// entries the LRU bound evicted to make room.
-    pub fn insert(&self, key: Digest, value: V, approx_bytes: u64) -> usize {
+    pub fn insert(&self, key: Digest, value: Arc<V>, approx_bytes: u64) -> usize {
         let per_shard = self.per_shard;
         let Some(target) = self.shard_for(&key) else {
             return 0;
@@ -152,7 +158,7 @@ impl<V> ShardedCache<V> {
         if let Some(old) = shard.entries.insert(
             key,
             Entry {
-                value: Arc::new(value),
+                value,
                 bytes: approx_bytes,
                 last_used: tick,
             },
@@ -215,10 +221,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_derives_from_capacity() {
+        for (capacity, shards, per_shard) in [(1, 1, 1), (256, 8, 32), (65_536, 16, 4_096)] {
+            let cache = ShardedCache::<u64>::new(capacity);
+            assert_eq!(
+                (cache.shards.len(), cache.per_shard),
+                (shards, per_shard),
+                "capacity {capacity}"
+            );
+        }
+    }
+
+    #[test]
     fn get_after_insert_hits() {
         let cache = ShardedCache::new(64);
         assert!(cache.get(&key(1)).is_none());
-        cache.insert(key(1), "one", 3);
+        cache.insert(key(1), Arc::new("one"), 3);
         assert_eq!(cache.get(&key(1)).as_deref(), Some(&"one"));
         assert_eq!(cache.stats(), CacheStats::new(1, 1));
     }
@@ -227,11 +245,9 @@ mod tests {
     fn capacity_bounds_total_entries() {
         let cache = ShardedCache::new(8);
         for i in 0..100 {
-            cache.insert(key(i), i, 8);
+            cache.insert(key(i), Arc::new(i), 8);
         }
-        // Per-shard rounding can leave len slightly under the bound,
-        // never over SHARDS-rounded capacity.
-        assert!(cache.len() <= 8 * ShardedCache::<u64>::SHARDS.min(8));
+        assert_eq!(cache.len(), 8);
         assert!(cache.evictions() > 0);
     }
 
@@ -239,7 +255,7 @@ mod tests {
     fn bytes_track_inserts_and_evictions() {
         let cache = ShardedCache::new(4);
         for i in 0..50 {
-            cache.insert(key(i), i, 10);
+            cache.insert(key(i), Arc::new(i), 10);
         }
         let live = u64::try_from(cache.len()).unwrap();
         assert_eq!(cache.bytes(), live * 10);
@@ -248,8 +264,8 @@ mod tests {
     #[test]
     fn reinsert_replaces_bytes_not_duplicates() {
         let cache = ShardedCache::new(16);
-        cache.insert(key(7), "a", 100);
-        cache.insert(key(7), "b", 40);
+        cache.insert(key(7), Arc::new("a"), 100);
+        cache.insert(key(7), Arc::new("b"), 40);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 40);
         assert_eq!(cache.get(&key(7)).as_deref(), Some(&"b"));
@@ -259,17 +275,30 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         // Single shard (capacity 1 shard min) so LRU order is total.
         let cache = ShardedCache::new(1);
-        cache.insert(key(1), 1, 1);
-        cache.insert(key(2), 2, 1);
+        cache.insert(key(1), Arc::new(1), 1);
+        cache.insert(key(2), Arc::new(2), 1);
         assert!(cache.get(&key(1)).is_none(), "older entry evicted");
         assert_eq!(cache.get(&key(2)).as_deref(), Some(&2));
+    }
+
+    #[test]
+    fn touching_an_entry_protects_it_from_eviction() {
+        // Capacity 2 is one shard of 2, so LRU order is total.
+        let cache = ShardedCache::new(2);
+        cache.insert(key(1), Arc::new(1), 1);
+        cache.insert(key(2), Arc::new(2), 1);
+        assert!(cache.get(&key(1)).is_some(), "refresh 1");
+        assert_eq!(cache.insert(key(3), Arc::new(3), 1), 1);
+        assert!(cache.get(&key(1)).is_some(), "recently-used survives");
+        assert!(cache.get(&key(2)).is_none(), "lru entry evicted");
+        assert!(cache.get(&key(3)).is_some());
     }
 
     #[test]
     fn tiny_capacity_stays_exact() {
         let cache = ShardedCache::new(2);
         for i in 0..20 {
-            cache.insert(key(i), i, 1);
+            cache.insert(key(i), Arc::new(i), 1);
         }
         assert!(cache.len() <= 2);
     }

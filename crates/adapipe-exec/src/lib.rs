@@ -16,7 +16,8 @@
 //!   counters and approximate byte accounting. The planner keys it
 //!   with [`sha256`] over a canonical subproblem encoding so *similar*
 //!   models share knapsack leaves across requests
-//!   (`adapipe-partition`'s global subproblem cache).
+//!   (`adapipe-partition`'s global subproblem cache); `adapipe-serve`'s
+//!   plan cache keys it with the request digest.
 //!
 //! Determinism is the design law, not an accident: the pool only
 //! distributes *indices* of a pre-enumerated task list and writes each

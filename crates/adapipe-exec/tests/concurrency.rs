@@ -75,7 +75,7 @@ fn sharded_cache_counters_are_exact_under_contention() {
                 for i in 0..OPS_PER_WRITER {
                     let key = sha256(&(i % 64).to_le_bytes());
                     if cache.get(&key).is_none() {
-                        cache.insert(key, i + ((w as u64) << 32), 16);
+                        cache.insert(key, Arc::new(i + ((w as u64) << 32)), 16);
                     }
                 }
             })
@@ -105,7 +105,11 @@ fn eviction_counters_are_exact_under_contention() {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
                 for i in 0..OPS_PER_WRITER {
-                    cache.insert(sha256(&(i ^ (w as u64) << 40).to_le_bytes()), i, 4);
+                    cache.insert(
+                        sha256(&(i ^ (w as u64) << 40).to_le_bytes()),
+                        Arc::new(i),
+                        4,
+                    );
                 }
             })
         })

@@ -107,7 +107,6 @@ impl FlightRecorder {
 
     /// Records an event attributed to a request trace (no-op when
     /// disabled).
-    // lint: allow(traced-pair): the extra param is a trace id, not a Recorder — `note` is the untraced twin
     pub fn note_traced(&self, kind: &str, detail: impl Into<String>, trace_id: &str) {
         self.push(kind, detail.into(), Some(trace_id.to_string()));
     }

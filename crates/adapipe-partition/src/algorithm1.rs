@@ -64,21 +64,8 @@ struct State {
 /// micro-batches per iteration. Returns `None` when no feasible partition
 /// exists (every choice runs out of memory somewhere).
 ///
-/// # Panics
-///
-/// Panics if `p == 0`, `p > num_layers`, or `n < p`.
-#[must_use]
-pub fn solve(
-    provider: &impl StageCostProvider,
-    num_layers: usize,
-    p: usize,
-    n: usize,
-) -> Option<PartitionPlan> {
-    solve_traced(provider, num_layers, p, n, &Recorder::disabled())
-}
-
-/// [`solve`], reporting DP effort to `rec`: states filled
-/// (`partition.alg1.states`), split candidates scored
+/// DP effort goes to `rec` (free with [`Recorder::disabled`]): states
+/// filled (`partition.alg1.states`), split candidates scored
 /// (`partition.alg1.candidates`) and total solve time inside a
 /// `partition.alg1` span.
 ///
@@ -86,7 +73,7 @@ pub fn solve(
 ///
 /// Panics if `p == 0`, `p > num_layers`, or `n < p`.
 #[must_use]
-pub fn solve_traced(
+pub fn solve(
     provider: &impl StageCostProvider,
     num_layers: usize,
     p: usize,
@@ -289,7 +276,7 @@ mod tests {
         let provider = Synthetic {
             weights: vec![1.0; 8],
         };
-        let plan = solve(&provider, 8, 4, 16).unwrap();
+        let plan = solve(&provider, 8, 4, 16, &Recorder::disabled()).unwrap();
         // All stages must end up with equal work: bottleneck = 2 layers.
         assert!((plan.breakdown.bottleneck.as_micros() - 6.0).abs() < 1e-12);
         let lens: Vec<usize> = plan.ranges.iter().map(LayerRange::len).collect();
@@ -302,7 +289,7 @@ mod tests {
         let mut weights = vec![1.0; 6];
         weights[5] = 10.0;
         let provider = Synthetic { weights };
-        let plan = solve(&provider, 6, 3, 12).unwrap();
+        let plan = solve(&provider, 6, 3, 12, &Recorder::disabled()).unwrap();
         let last = *plan.ranges.last().unwrap();
         assert_eq!((last.first, last.last), (5, 5));
     }
@@ -314,7 +301,7 @@ mod tests {
                 .map(|k| 1.0 + 0.37 * (k as f64).sin().abs())
                 .collect();
             let provider = Synthetic { weights };
-            let plan = solve(&provider, l, p, n).unwrap();
+            let plan = solve(&provider, l, p, n, &Recorder::disabled()).unwrap();
             let best = exhaustive_best(&provider, l, p, n);
             assert!(
                 (plan.iteration_time().as_micros() - best).abs() < 1e-9,
@@ -329,7 +316,7 @@ mod tests {
         let provider = Synthetic {
             weights: vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0],
         };
-        let plan = solve(&provider, 7, 3, 9).unwrap();
+        let plan = solve(&provider, 7, 3, 9, &Recorder::disabled()).unwrap();
         assert_eq!(plan.ranges[0].first, 0);
         assert_eq!(plan.ranges.last().unwrap().last, 6);
         for w in plan.ranges.windows(2) {
@@ -357,13 +344,13 @@ mod tests {
 
     #[test]
     fn infeasible_windows_are_routed_around() {
-        let plan = solve(&Capped { cap: 1 }, 8, 4, 8).unwrap();
+        let plan = solve(&Capped { cap: 1 }, 8, 4, 8, &Recorder::disabled()).unwrap();
         assert_eq!(plan.ranges[0].len(), 1);
     }
 
     #[test]
     fn fully_infeasible_returns_none() {
-        let plan = solve(&Capped { cap: 0 }, 8, 4, 8);
+        let plan = solve(&Capped { cap: 0 }, 8, 4, 8, &Recorder::disabled());
         assert!(plan.is_none());
     }
 
@@ -372,7 +359,7 @@ mod tests {
         let provider = Synthetic {
             weights: vec![1.0, 2.0, 1.5, 0.5, 2.5, 1.0],
         };
-        let plan = solve(&provider, 6, 3, 12).unwrap();
+        let plan = solve(&provider, 6, 3, 12, &Recorder::disabled()).unwrap();
         let eval = evaluate_partition(&provider, &plan.ranges, 12).unwrap();
         assert!((eval.iteration_time() - plan.iteration_time()).abs() < MicroSecs::new(1e-9));
     }
@@ -383,8 +370,8 @@ mod tests {
             weights: vec![1.0; 8],
         };
         let rec = Recorder::new();
-        let traced = solve_traced(&provider, 8, 4, 16, &rec).unwrap();
-        let plain = solve(&provider, 8, 4, 16).unwrap();
+        let traced = solve(&provider, 8, 4, 16, &rec).unwrap();
+        let plain = solve(&provider, 8, 4, 16, &Recorder::disabled()).unwrap();
         assert_eq!(traced, plain, "tracing must not change the plan");
         let snap = rec.snapshot();
         assert!(snap.counters["partition.alg1.states"] > 0);
@@ -423,7 +410,7 @@ mod tests {
                 inner: &inner,
                 seen: std::sync::Mutex::new(Vec::new()),
             };
-            let _ = solve(&rec, l, p, n);
+            let _ = solve(&rec, l, p, n, &Recorder::disabled());
             let reachable: std::collections::HashSet<(usize, LayerRange)> =
                 reachable_windows(l, p).into_iter().collect();
             for q in rec.seen.lock().unwrap().iter() {
@@ -441,6 +428,6 @@ mod tests {
         let provider = Synthetic {
             weights: vec![1.0; 3],
         };
-        let _ = solve(&provider, 3, 4, 8);
+        let _ = solve(&provider, 3, 4, 8, &Recorder::disabled());
     }
 }

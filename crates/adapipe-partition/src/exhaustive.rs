@@ -75,6 +75,7 @@ mod tests {
     use super::*;
     use crate::algorithm1;
     use crate::cost::StageTimes;
+    use adapipe_obs::Recorder;
     use adapipe_units::MicroSecs;
 
     struct Synthetic {
@@ -98,7 +99,7 @@ mod tests {
                 .map(|k| 1.0 + ((k * 7 + 3) % 5) as f64 * 0.31)
                 .collect();
             let provider = Synthetic { weights };
-            let dp = algorithm1::solve(&provider, l, p, n).unwrap();
+            let dp = algorithm1::solve(&provider, l, p, n, &Recorder::disabled()).unwrap();
             let brute = solve(&provider, l, p, n).unwrap();
             assert!(
                 dp.iteration_time() <= brute.iteration_time() + MicroSecs::new(1e-9),
@@ -142,7 +143,7 @@ mod tests {
             let l = weights.len();
             let n = p + extra;
             let provider = Synthetic { weights };
-            let dp = algorithm1::solve(&provider, l, p, n).unwrap();
+            let dp = algorithm1::solve(&provider, l, p, n, &Recorder::disabled()).unwrap();
             let brute = solve(&provider, l, p, n).unwrap();
             // The printed Algorithm 1 is "near-optimal", not exact: its
             // per-stage objective weighs the bottleneck by (n − p + s),

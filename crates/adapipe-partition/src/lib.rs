@@ -38,6 +38,7 @@
 //! use adapipe_hw::presets as hw;
 //! use adapipe_memory::{MemoryModel, OptimizerSpec};
 //! use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+//! use adapipe_obs::Recorder;
 //! use adapipe_partition::{algorithm1, KnapsackCostProvider};
 //! use adapipe_profiler::Profiler;
 //! use adapipe_units::Bytes;
@@ -50,7 +51,7 @@
 //! let mem = MemoryModel::new(model.clone(), parallel, OptimizerSpec::adam_fp32());
 //!
 //! let provider = KnapsackCostProvider::new(&seq, &table, &mem, Bytes::from_gib(80));
-//! let plan = algorithm1::solve(&provider, seq.len(), 4, 32).expect("feasible");
+//! let plan = algorithm1::solve(&provider, seq.len(), 4, 32, &Recorder::disabled()).expect("feasible");
 //! assert_eq!(plan.ranges.len(), 4);
 //! # Ok::<(), adapipe_model::ConfigError>(())
 //! ```

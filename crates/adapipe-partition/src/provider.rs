@@ -17,7 +17,7 @@ use adapipe_model::{LayerKind, LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
 use adapipe_profiler::ProfileTable;
 use adapipe_recompute::{
-    optimize_exhaustive, optimize_traced, KnapsackConfig, OptimizedStage, StrategyError,
+    optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, StrategyError,
 };
 use adapipe_units::{convert, Bytes};
 use std::cell::RefCell;
@@ -183,14 +183,14 @@ impl<'a> KnapsackCostProvider<'a> {
             Some((sc, subcache::leaf_key(digests, budget, self.knapsack)))
         });
         let Some((sc, key)) = keyed else {
-            return optimize_traced(&units, budget, self.knapsack, &self.rec);
+            return optimize(&units, budget, self.knapsack, &self.rec);
         };
         if let Some(outcome) = sc.lookup(&key) {
             self.rec.incr(keys::SUBCACHE_HITS);
             return subcache::rebuild(&units, budget, &outcome);
         }
         self.rec.incr(keys::SUBCACHE_MISSES);
-        let result = optimize_traced(&units, budget, self.knapsack, &self.rec);
+        let result = optimize(&units, budget, self.knapsack, &self.rec);
         if let Some(outcome) = subcache::outcome_of(&result) {
             sc.store(key, outcome);
         }
@@ -617,8 +617,8 @@ mod tests {
         let windows = crate::algorithm1::reachable_windows(l, p);
         let computed = pooled.prefill(&pool, &windows).unwrap();
         assert!(computed > 0, "prefill must evaluate representatives");
-        let a = crate::algorithm1::solve(&serial, l, p, n);
-        let b = crate::algorithm1::solve(&pooled, l, p, n);
+        let a = crate::algorithm1::solve(&serial, l, p, n, &Recorder::disabled());
+        let b = crate::algorithm1::solve(&pooled, l, p, n, &Recorder::disabled());
         assert_eq!(a, b, "prefilled solve must be identical");
         // Every query the DP made after prefill was a cache hit.
         let stats = pooled.cache_stats();

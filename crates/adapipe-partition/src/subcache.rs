@@ -121,7 +121,7 @@ impl SubproblemCache {
     /// evicted to make room.
     pub fn store(&self, key: Digest, outcome: LeafOutcome) -> usize {
         let approx = approx_entry_bytes(&outcome);
-        self.inner.insert(key, outcome, approx)
+        self.inner.insert(key, Arc::new(outcome), approx)
     }
 }
 
@@ -212,7 +212,7 @@ pub fn outcome_of(result: &Result<OptimizedStage, StrategyError>) -> Option<Leaf
 /// Rebuilds the full [`OptimizedStage`] a cached leaf stands for,
 /// against *this* window's units — costs, slack, and absolute layer
 /// numbering are recomputed exactly, so the result is byte-identical
-/// to a fresh [`adapipe_recompute::optimize_traced`] call.
+/// to a fresh [`adapipe_recompute::optimize`] call.
 ///
 /// # Errors
 ///
@@ -277,7 +277,8 @@ fn kind_tag(kind: UnitKind) -> u8 {
 mod tests {
     use super::*;
     use adapipe_model::ComputationUnit;
-    use adapipe_recompute::optimize_with;
+    use adapipe_obs::Recorder;
+    use adapipe_recompute::optimize;
     use adapipe_units::MicroSecs;
 
     fn unit(kind: UnitKind, layer: usize, f: f64, b: f64, mem: u64) -> UnitProfile {
@@ -344,7 +345,7 @@ mod tests {
         for budget in [400u64, 600, 900, 2000] {
             let units = window(3);
             let budget = Bytes::new(budget);
-            let fresh = optimize_with(&units, budget, cfg);
+            let fresh = optimize(&units, budget, cfg, &Recorder::disabled());
             let outcome = outcome_of(&fresh).expect("deterministic outcome");
             let rebuilt = rebuild(&units, budget, &outcome);
             assert_eq!(fresh, rebuilt);
@@ -356,7 +357,7 @@ mod tests {
         let cfg = KnapsackConfig::default();
         let units = window(0);
         // Pinned units alone (OutProj 128 + FfnFc2 128) exceed 100.
-        let fresh = optimize_with(&units, Bytes::new(100), cfg);
+        let fresh = optimize(&units, Bytes::new(100), cfg, &Recorder::disabled());
         assert!(fresh.is_err());
         let outcome = outcome_of(&fresh).expect("OOM is cacheable");
         assert_eq!(rebuild(&units, Bytes::new(100), &outcome), fresh);

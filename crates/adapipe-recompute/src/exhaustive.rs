@@ -108,9 +108,10 @@ pub fn optimize_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize;
+    use crate::{optimize, KnapsackConfig};
     use adapipe_hw::presets as hw;
     use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
+    use adapipe_obs::Recorder;
     use adapipe_profiler::Profiler;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -129,8 +130,15 @@ mod tests {
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         for frac in [15u64, 40, 60, 85, 100] {
             let budget = all * frac / 100;
-            let (Ok(dp), Ok(oracle)) = (optimize(&us, budget), optimize_exhaustive(&us, budget))
-            else {
+            let (Ok(dp), Ok(oracle)) = (
+                optimize(
+                    &us,
+                    budget,
+                    KnapsackConfig::default(),
+                    &Recorder::disabled(),
+                ),
+                optimize_exhaustive(&us, budget),
+            ) else {
                 continue;
             };
             // The knapsack is exact when the GCD rescaling is lossless

@@ -44,20 +44,6 @@ pub struct OptimizedStage {
     pub slack_bytes: Bytes,
 }
 
-/// Optimizes the recomputation strategy for one stage with the default
-/// configuration. See [`optimize_with`].
-///
-/// # Errors
-///
-/// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
-/// exceed `budget_per_mb`.
-pub fn optimize(
-    units: &[UnitProfile],
-    budget_per_mb: Bytes,
-) -> Result<OptimizedStage, StrategyError> {
-    optimize_with(units, budget_per_mb, KnapsackConfig::default())
-}
-
 /// Finds the saved-unit set maximizing `Σ Time_f(saved)` subject to
 /// `Σ Mem(saved) ≤ budget_per_mb` — Equations (1)–(2) of the paper.
 ///
@@ -70,20 +56,8 @@ pub fn optimize(
 /// over the free units, on a memory axis rescaled by the GCD of their
 /// sizes (§5.3).
 ///
-/// # Errors
-///
-/// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
-/// exceed the budget.
-pub fn optimize_with(
-    units: &[UnitProfile],
-    budget_per_mb: Bytes,
-    config: KnapsackConfig,
-) -> Result<OptimizedStage, StrategyError> {
-    optimize_traced(units, budget_per_mb, config, &Recorder::disabled())
-}
-
-/// [`optimize_with`], reporting DP effort to `rec`: per-call wall time
-/// (`recompute.knapsack.us`), cells evaluated
+/// DP effort goes to `rec` (free with [`Recorder::disabled`]): per-call
+/// wall time (`recompute.knapsack.us`), cells evaluated
 /// (`recompute.knapsack.cells`), re-bucketing rounds beyond the GCD
 /// scale (`recompute.knapsack.rebuckets`) and the final scale factor
 /// (`recompute.knapsack.gcd_scale` gauge).
@@ -92,7 +66,7 @@ pub fn optimize_with(
 ///
 /// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
 /// exceed the budget.
-pub fn optimize_traced(
+pub fn optimize(
     units: &[UnitProfile],
     budget_per_mb: Bytes,
     config: KnapsackConfig,
@@ -169,7 +143,7 @@ pub fn optimize_traced(
 ///
 /// Both biases point the same (conservative) way, so
 /// `Σ scaled-feasible footprints ≤ scale · capacity ≤ budget` holds
-/// exactly; `optimize_traced` debug-asserts it and the
+/// exactly; `optimize` debug-asserts it and the
 /// `rescaled_solution_feasible_in_unscaled_bytes` proptest exercises it
 /// with adversarial sizes and forced re-bucketing.
 fn solve(
@@ -290,7 +264,12 @@ mod tests {
     #[test]
     fn unbounded_budget_saves_everything() -> TestResult {
         let us = units(LayerRange::new(1, 6))?;
-        let opt = optimize(&us, Bytes::new(u64::MAX))?;
+        let opt = optimize(
+            &us,
+            Bytes::new(u64::MAX),
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )?;
         assert_eq!(opt.strategy.saved_count(), us.len());
         Ok(())
     }
@@ -299,7 +278,12 @@ mod tests {
     fn pinned_overflow_is_oom() -> TestResult {
         let us = units(LayerRange::new(1, 6))?;
         assert!(matches!(
-            optimize(&us, Bytes::ZERO),
+            optimize(
+                &us,
+                Bytes::ZERO,
+                KnapsackConfig::default(),
+                &Recorder::disabled()
+            ),
             Err(StrategyError::OutOfMemory { .. })
         ));
         Ok(())
@@ -313,7 +297,12 @@ mod tests {
             .filter(|u| u.is_pinned())
             .map(|u| u.mem_saved)
             .sum();
-        let opt = optimize(&us, pinned)?;
+        let opt = optimize(
+            &us,
+            pinned,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )?;
         assert_eq!(
             opt.strategy.saved_count(),
             us.iter().filter(|u| u.is_pinned()).count()
@@ -329,7 +318,12 @@ mod tests {
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let mut last_b = MicroSecs::new(f64::INFINITY);
         for frac in [25u64, 50, 75, 100] {
-            let opt = optimize(&us, all * frac / 100)?;
+            let opt = optimize(
+                &us,
+                all * frac / 100,
+                KnapsackConfig::default(),
+                &Recorder::disabled(),
+            )?;
             assert!(
                 opt.cost.time_b <= last_b + MicroSecs::new(1e-6),
                 "frac {frac}"
@@ -344,7 +338,12 @@ mod tests {
         let us = units(LayerRange::new(1, 8))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 60 / 100;
-        let opt = optimize(&us, budget)?;
+        let opt = optimize(
+            &us,
+            budget,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )?;
         assert!(opt.cost.saved_bytes_per_mb <= budget);
         assert_eq!(
             opt.slack_bytes,
@@ -391,7 +390,12 @@ mod tests {
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         for frac in [10u64, 30, 55, 80, 95] {
             let budget = all * frac / 100;
-            let Ok(opt) = optimize(&us, budget) else {
+            let Ok(opt) = optimize(
+                &us,
+                budget,
+                KnapsackConfig::default(),
+                &Recorder::disabled(),
+            ) else {
                 continue;
             };
             let saved_f: f64 = us
@@ -430,7 +434,7 @@ mod tests {
                 .collect();
             let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
             let budget = all * budget_scale / 100;
-            let opt = match optimize(&us, budget) {
+            let opt = match optimize(&us, budget, KnapsackConfig::default(), &Recorder::disabled()) {
                 Ok(opt) => opt,
                 Err(e) => return Err(TestCaseError::Fail(format!("optimize failed: {e}"))),
             };
@@ -472,11 +476,7 @@ mod tests {
                 .collect();
             let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
             let budget = all * budget_scale / 100;
-            let opt = match optimize_with(
-                &us,
-                budget,
-                KnapsackConfig { max_capacity_cells: cells, disable_gcd: false },
-            ) {
+            let opt = match optimize(&us, budget, KnapsackConfig { max_capacity_cells: cells, disable_gcd: false }, &Recorder::disabled()) {
                 Ok(opt) => opt,
                 Err(e) => return Err(TestCaseError::Fail(format!("optimize failed: {e}"))),
             };
@@ -500,14 +500,20 @@ mod tests {
         let us = units(LayerRange::new(1, 4))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 60 / 100;
-        let fast = optimize(&us, budget)?;
-        let slow = optimize_with(
+        let fast = optimize(
+            &us,
+            budget,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )?;
+        let slow = optimize(
             &us,
             budget,
             KnapsackConfig {
                 max_capacity_cells: 1 << 26,
                 disable_gcd: true,
             },
+            &Recorder::disabled(),
         )?;
         assert!((fast.cost.time_b - slow.cost.time_b).abs() < MicroSecs::new(1e-3));
         Ok(())
@@ -518,8 +524,13 @@ mod tests {
         let rec = Recorder::new();
         let us = units(LayerRange::new(1, 8))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
-        let opt = optimize_traced(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
-        let baseline = optimize(&us, all * 60 / 100)?;
+        let opt = optimize(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
+        let baseline = optimize(
+            &us,
+            all * 60 / 100,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )?;
         assert_eq!(opt, baseline, "tracing must not change the result");
         let snap = rec.snapshot();
         assert_eq!(snap.counters["recompute.knapsack.calls"], 1);
@@ -536,13 +547,14 @@ mod tests {
         let us = units(LayerRange::new(1, 20))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 70 / 100;
-        let opt = optimize_with(
+        let opt = optimize(
             &us,
             budget,
             KnapsackConfig {
                 max_capacity_cells: 16,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         )?;
         assert!(opt.cost.saved_bytes_per_mb <= budget);
         // And still save strictly more than the pinned floor.

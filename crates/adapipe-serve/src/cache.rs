@@ -1,4 +1,5 @@
-//! The sharded, LRU-bounded, content-addressed plan cache.
+//! The content-addressed plan cache: a typed view over
+//! [`adapipe_exec::ShardedCache`].
 //!
 //! Entries are keyed by the request digest (see
 //! [`crate::request::PlanRequest::digest`]) and hold the *exact
@@ -6,214 +7,165 @@
 //! byte-identical to the response the cold path produced — the
 //! property the CI `serve` job byte-diffs.
 //!
-//! The map is split into shards, each behind its own mutex, so
-//! concurrent workers on different digests do not serialize on one
-//! lock. Every shard is LRU-bounded: the per-shard capacity is the
-//! total capacity divided across shards, and inserting past it evicts
-//! the least-recently-used entry (lookup order is tracked with a
-//! per-shard monotone tick, not wall clock, keeping eviction
-//! deterministic).
+//! The wire digest is 64 lowercase hex characters; the cache parses it
+//! into the 32-byte key the sharded cache stores. Any other string
+//! (uppercase, short, long, non-hex) is a miss, never a panic.
+//! Sharding, LRU eviction and the hit/miss/eviction counters all live
+//! in `ShardedCache`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-#[derive(Debug)]
-struct Entry {
-    body: Arc<str>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<String, Entry>,
-    tick: u64,
-}
+use adapipe_exec::cache::Digest;
+use adapipe_exec::ShardedCache;
+use std::sync::Arc;
 
 /// A sharded LRU cache from digest to response body.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard: usize,
-    capacity: usize,
+    inner: ShardedCache<str>,
 }
 
 impl PlanCache {
-    /// How many independently-locked shards the cache splits into (or
-    /// fewer for tiny capacities, so `capacity` stays exact).
-    pub const SHARDS: usize = 8;
-
     /// A cache holding at most `capacity` plans (floored at 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shard_count = Self::SHARDS.min(capacity);
-        let per_shard = capacity.div_ceil(shard_count);
         PlanCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            per_shard,
-            capacity,
+            inner: ShardedCache::new(capacity),
         }
     }
 
     /// The configured capacity bound.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn with_shard<R>(&self, digest: &str, f: impl FnOnce(&mut Shard) -> R) -> Option<R> {
-        // FNV-1a over the digest picks the shard; the digest is already
-        // uniform (SHA-256), the hash just folds it to an index.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in digest.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        let idx = (h as usize) % self.shards.len().max(1);
-        self.shards.get(idx).map(|m| {
-            // Recover from a poisoned lock: a panicking worker must not
-            // take the cache down with it.
-            let mut shard = m.lock().unwrap_or_else(|e| e.into_inner());
-            f(&mut shard)
-        })
+        self.inner.capacity()
     }
 
     /// Looks up a digest, refreshing its LRU position.
     #[must_use]
     pub fn get(&self, digest: &str) -> Option<Arc<str>> {
-        self.with_shard(digest, |shard| {
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.entries.get_mut(digest).map(|e| {
-                e.last_used = tick;
-                Arc::clone(&e.body)
-            })
-        })
-        .flatten()
+        self.inner.get(&parse_digest(digest)?)
     }
 
     /// Inserts (or refreshes) a digest → body mapping and returns how
-    /// many entries the LRU bound evicted to make room.
+    /// many entries the LRU bound evicted to make room. A malformed
+    /// digest is never stored.
     pub fn insert(&self, digest: &str, body: Arc<str>) -> u64 {
-        let per_shard = self.per_shard;
-        self.with_shard(digest, |shard| {
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.entries.insert(
-                digest.to_string(),
-                Entry {
-                    body,
-                    last_used: tick,
-                },
-            );
-            let mut evicted = 0;
-            while shard.entries.len() > per_shard {
-                let victim = shard
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => {
-                        shard.entries.remove(&k);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
-            }
-            evicted
-        })
-        .unwrap_or(0)
+        let Some(key) = parse_digest(digest) else {
+            return 0;
+        };
+        let bytes = u64::try_from(body.len()).unwrap_or(u64::MAX);
+        u64::try_from(self.inner.insert(key, body, bytes)).unwrap_or(u64::MAX)
     }
 
     /// Number of cached plans across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
-            .sum()
+        self.inner.len()
     }
 
     /// Whether the cache holds nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.inner.is_empty()
     }
+}
+
+/// The 32-byte key of a 64-char lowercase-hex digest, or `None` for
+/// any other string.
+fn parse_digest(hex: &str) -> Option<Digest> {
+    fn nibble(c: u8) -> Option<u8> {
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        }
+    }
+    if hex.len() != 64 {
+        return None;
+    }
+    let mut key = [0u8; 32];
+    for (byte, pair) in key.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+        let [hi, lo] = pair else { return None };
+        *byte = (nibble(*hi)? << 4) | nibble(*lo)?;
+    }
+    Some(key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapipe_exec::sha256_hex;
 
     fn body(text: &str) -> Arc<str> {
         Arc::from(text)
+    }
+
+    fn digest(name: &str) -> String {
+        sha256_hex(name.as_bytes())
     }
 
     #[test]
     fn get_returns_the_exact_inserted_bytes() {
         let cache = PlanCache::new(16);
         let original = body("adapipe-plan v2\nstage 0 ...\n");
-        cache.insert("d1", Arc::clone(&original));
-        let hit = cache.get("d1").unwrap();
+        cache.insert(&digest("d1"), Arc::clone(&original));
+        let hit = cache.get(&digest("d1")).unwrap();
         assert!(
             Arc::ptr_eq(&hit, &original),
             "hit must share the cold bytes"
         );
-        assert!(cache.get("d2").is_none());
+        assert!(cache.get(&digest("d2")).is_none());
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        // Capacity 2 → a single shard of 2, so ordering is observable.
-        let cache = PlanCache::new(2);
-        assert_eq!(cache.shards.len(), 2);
         let cache = PlanCache::new(1);
-        cache.insert("a", body("A"));
-        cache.insert("b", body("B"));
+        cache.insert(&digest("a"), body("A"));
+        cache.insert(&digest("b"), body("B"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.get("a").is_none(), "oldest entry evicted");
-        assert!(cache.get("b").is_some());
-    }
-
-    #[test]
-    fn touching_an_entry_protects_it_from_eviction() {
-        // One shard (capacity 1 per shard would evict immediately), so
-        // use a handcrafted single-shard cache of capacity 2.
-        let cache = PlanCache {
-            shards: vec![Mutex::new(Shard::default())],
-            per_shard: 2,
-            capacity: 2,
-        };
-        cache.insert("a", body("A"));
-        cache.insert("b", body("B"));
-        assert!(cache.get("a").is_some(), "refresh a");
-        let evicted = cache.insert("c", body("C"));
-        assert_eq!(evicted, 1);
-        assert!(cache.get("a").is_some(), "recently-used survives");
-        assert!(cache.get("b").is_none(), "lru entry evicted");
-        assert!(cache.get("c").is_some());
+        assert!(cache.get(&digest("a")).is_none(), "oldest entry evicted");
+        assert!(cache.get(&digest("b")).is_some());
     }
 
     #[test]
     fn capacity_is_respected_under_many_inserts() {
         let cache = PlanCache::new(8);
         for i in 0..100 {
-            cache.insert(&format!("digest-{i}"), body("x"));
+            cache.insert(&digest(&format!("digest-{i}")), body("x"));
         }
-        // div_ceil may round per-shard capacity up by at most 1 each.
-        assert!(cache.len() <= cache.capacity() + PlanCache::SHARDS);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.len(), cache.capacity());
     }
 
     #[test]
     fn reinserting_a_digest_does_not_grow_the_cache() {
         let cache = PlanCache::new(4);
         for _ in 0..10 {
-            cache.insert("same", body("x"));
+            cache.insert(&digest("same"), body("x"));
         }
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn malformed_digests_miss_and_are_never_stored() {
+        let cache = PlanCache::new(4);
+        let good = digest("plan");
+        cache.insert(&good, body("x"));
+        let upper = good.to_uppercase();
+        let long = format!("{good}0");
+        let non_hex = "g".repeat(64);
+        let multibyte = "é".repeat(32);
+        for bad in [
+            &upper,
+            &long,
+            &good[..63],
+            &non_hex,
+            &multibyte,
+            "",
+            "deadbeef",
+        ] {
+            assert!(cache.get(bad).is_none(), "{bad:?} must miss");
+            assert_eq!(cache.insert(bad, body("y")), 0);
+        }
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&good).is_some());
     }
 
     #[test]
@@ -224,7 +176,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for i in 0..200 {
-                        let digest = format!("d-{}", (t * 7 + i) % 40);
+                        let digest = digest(&format!("d-{}", (t * 7 + i) % 40));
                         if cache.get(&digest).is_none() {
                             cache.insert(&digest, Arc::from("body"));
                         }
@@ -235,6 +187,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(cache.len() <= cache.capacity() + PlanCache::SHARDS);
+        assert!(cache.len() <= cache.capacity());
     }
 }

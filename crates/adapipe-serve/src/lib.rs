@@ -30,7 +30,8 @@
 //!
 //! Requests are [canonicalized](request::PlanRequest::canonical_text)
 //! so dimensionally-equal configs share a SHA-256 digest, then answered
-//! from a [sharded LRU plan cache](cache::PlanCache); misses are planned
+//! from the [plan cache](cache::PlanCache), an
+//! [`adapipe_exec::ShardedCache`] of response bodies; misses are planned
 //! on a [bounded worker pool](queue::BoundedQueue) with explicit
 //! backpressure (`503 + Retry-After`, never accept-then-hang),
 //! per-request deadlines classified by the `adapipe-faults` watchdog,
@@ -65,7 +66,6 @@ pub mod names;
 pub mod queue;
 pub mod request;
 mod server;
-pub mod sha;
 pub mod trace_store;
 
 pub use request::{PlanRequest, RequestError, DEFAULT_HEADROOM, REQUEST_HEADER};

@@ -28,7 +28,6 @@
 //! are asking for.
 
 use crate::names;
-use crate::sha;
 use adapipe::{Method, Planner};
 use adapipe_memory::OptimizerSpec;
 use adapipe_model::{ParallelConfig, TrainConfig};
@@ -318,7 +317,7 @@ impl PlanRequest {
     /// The content address: SHA-256 of [`Self::canonical_text`], hex.
     #[must_use]
     pub fn digest(&self) -> String {
-        sha::sha256_hex(self.canonical_text().as_bytes())
+        adapipe_exec::sha256_hex(self.canonical_text().as_bytes())
     }
 
     /// The wire text a client sends. Includes the deadline when set

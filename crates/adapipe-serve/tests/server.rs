@@ -78,8 +78,18 @@ fn cold_plan_then_cache_hit_is_byte_identical() {
     assert_eq!(by_digest.status, 200);
     assert_eq!(by_digest.body, cold.body);
 
-    let missing = client::get(&addr, "/v1/plan/deadbeef").unwrap();
-    assert_eq!(missing.status, 404);
+    // Only the exact 64-char lowercase-hex digest addresses the entry;
+    // every other spelling is a plain miss.
+    for bad in [
+        "deadbeef".to_string(),
+        digest.to_uppercase(),
+        "z".repeat(64),
+        format!("{digest}0"),
+        String::new(),
+    ] {
+        let missing = client::get(&addr, &format!("/v1/plan/{bad}")).unwrap();
+        assert_eq!(missing.status, 404, "digest {bad:?}");
+    }
 
     let summary = server.shutdown_and_join();
     assert_eq!(summary.cache_misses, 1);

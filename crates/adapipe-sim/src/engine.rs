@@ -51,54 +51,19 @@ impl Ord for Event {
 /// Executes `graph` and reports makespan, per-device bubbles and peak
 /// dynamic memory, and the full timeline.
 ///
-/// The simulation is deterministic: ties are broken by task id.
-///
-/// # Panics
-///
-/// Panics if the graph deadlocks (a fixed-order queue waits on a task
-/// that can never run — e.g. a cross-device cycle through queue order).
-#[must_use]
-pub fn simulate(graph: &TaskGraph) -> SimReport {
-    simulate_traced(graph, &Recorder::disabled())
-}
-
-/// [`simulate`], reporting engine effort to `rec`: tasks and events
-/// processed (`sim.tasks`, `sim.events`), the dispatchable-set
+/// The simulation is deterministic: ties are broken by task id. Engine
+/// effort goes to `rec` (free with [`Recorder::disabled`]): tasks and
+/// events processed (`sim.tasks`, `sim.events`), the dispatchable-set
 /// high-water mark (`sim.ready_queue.peak` gauge) and per-device
 /// busy/bubble seconds, all inside a `sim.run` span.
 ///
-/// # Panics
-///
-/// Panics if the graph deadlocks (see [`simulate`]).
-#[must_use]
-pub fn simulate_traced(graph: &TaskGraph, rec: &Recorder) -> SimReport {
-    match try_simulate_traced(graph, rec) {
-        Ok(report) => report,
-        // lint: allow(panic): the panicking entry points keep their
-        // historical contract for callers that treat a deadlock as a
-        // programming bug; recoverable callers use try_simulate*.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate`] returning a typed [`SimError`] instead of panicking on
-/// deadlock — the entry point for fault-injected graphs, where a stuck
-/// schedule is an expected outcome to detect, not a bug.
-///
 /// # Errors
 ///
-/// [`SimError::Deadlock`] when some tasks can never run.
-pub fn try_simulate(graph: &TaskGraph) -> Result<SimReport, SimError> {
-    try_simulate_traced(graph, &Recorder::disabled())
-}
-
-/// [`try_simulate`], reporting engine effort to `rec` (see
-/// [`simulate_traced`] for the metrics emitted).
-///
-/// # Errors
-///
-/// [`SimError::Deadlock`] when some tasks can never run.
-pub fn try_simulate_traced(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError> {
+/// [`SimError::Deadlock`] when some tasks can never run (a fixed-order
+/// queue waits on a task that can never run — e.g. a cross-device cycle
+/// through queue order). For fault-injected graphs a stuck schedule is
+/// an expected outcome to detect; generated schedules never deadlock.
+pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError> {
     let _span = rec
         .span_cat(keys::SPAN_SIM_RUN, "sim")
         .with_arg("schedule", &graph.name);
@@ -392,7 +357,7 @@ mod tests {
             meta(0),
         );
         let _ = b;
-        let r = simulate(&g);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
         assert!((r.makespan - MicroSecs::new(3.5)).abs() < MicroSecs::new(1e-12));
         assert!((r.devices[1].bubble - MicroSecs::new(1.5)).abs() < MicroSecs::new(1e-12));
     }
@@ -430,7 +395,7 @@ mod tests {
             1,
             meta(2),
         );
-        let r = simulate(&g);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
         assert!((r.makespan - MicroSecs::new(4.0)).abs() < MicroSecs::new(1e-12));
     }
 
@@ -464,7 +429,7 @@ mod tests {
             1,
             meta(2),
         );
-        let r = simulate(&g);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
         // z runs at t=0 on device 0; x at t=2.
         assert!((r.makespan - MicroSecs::new(3.0)).abs() < MicroSecs::new(1e-12));
     }
@@ -491,7 +456,7 @@ mod tests {
             1,
             meta(1),
         );
-        let r = simulate(&g);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
         assert_eq!(r.devices[0].peak_dynamic_bytes, Bytes::new(150));
     }
 
@@ -509,8 +474,8 @@ mod tests {
                 meta(i as usize),
             );
         }
-        let r1 = simulate(&g);
-        let r2 = simulate(&g);
+        let r1 = simulate(&g, &Recorder::disabled()).unwrap();
+        let r2 = simulate(&g, &Recorder::disabled()).unwrap();
         assert_eq!(r1.timeline.len(), r2.timeline.len());
         for (a, b) in r1.timeline.iter().zip(&r2.timeline) {
             assert_eq!(a.meta, b.meta);
@@ -542,8 +507,8 @@ mod tests {
             meta(1),
         );
         let rec = Recorder::new();
-        let traced = simulate_traced(&g, &rec);
-        let plain = simulate(&g);
+        let traced = simulate(&g, &rec).unwrap();
+        let plain = simulate(&g, &Recorder::disabled()).unwrap();
         assert!((traced.makespan - plain.makespan).abs() < MicroSecs::new(1e-15));
         let snap = rec.snapshot();
         assert_eq!(snap.counters["sim.tasks"], 2);
@@ -555,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_returns_typed_error_from_try_simulate() {
+    fn deadlock_returns_a_typed_error() {
         let mut g = TaskGraph::new("cycle", 2, Discipline::GreedyPriority);
         let a = g.push(
             0,
@@ -577,7 +542,7 @@ mod tests {
         );
         // Close the cycle: a also waits on b.
         g.add_dep(a, b, MicroSecs::ZERO);
-        match try_simulate(&g) {
+        match simulate(&g, &Recorder::disabled()) {
             Err(SimError::Deadlock {
                 completed,
                 total,
@@ -590,12 +555,9 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
 
-    #[test]
-    #[should_panic(expected = "schedule deadlocked")]
-    fn deadlock_still_panics_via_simulate() {
-        let mut g = TaskGraph::new("cycle", 1, Discipline::GreedyPriority);
+        // A task waiting on itself is the smallest cycle.
+        let mut g = TaskGraph::new("self", 1, Discipline::GreedyPriority);
         let a = g.push(
             0,
             MicroSecs::new(1.0),
@@ -606,25 +568,8 @@ mod tests {
             meta(0),
         );
         g.add_dep(a, a, MicroSecs::ZERO);
-        let _ = simulate(&g);
-    }
-
-    #[test]
-    fn try_simulate_matches_simulate_on_healthy_graphs() {
-        let mut g = TaskGraph::new("ok", 1, Discipline::FixedOrder);
-        let a = g.push(
-            0,
-            MicroSecs::new(2.0),
-            vec![],
-            Bytes::new(7),
-            Bytes::new(7),
-            0,
-            meta(0),
-        );
-        let _ = a;
-        let ok = try_simulate(&g).unwrap();
-        let plain = simulate(&g);
-        assert_eq!(ok, plain);
+        let err = simulate(&g, &Recorder::disabled()).unwrap_err();
+        assert!(err.to_string().contains("schedule deadlocked"), "{err}");
     }
 
     #[test]
@@ -657,7 +602,7 @@ mod tests {
             0,
             meta(0),
         );
-        let r = simulate(&g);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
         for dev in &r.devices {
             assert!((dev.busy + dev.bubble - r.makespan).abs() < MicroSecs::new(1e-12));
         }

@@ -21,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use adapipe_sim::{schedule, simulate, StageExec};
+//! use adapipe_sim::{schedule, simulate, Recorder, StageExec};
 //! use adapipe_units::{Bytes, MicroSecs};
 //!
 //! let stages = vec![
@@ -34,9 +34,10 @@
 //!     4
 //! ];
 //! let graph = schedule::one_f_one_b(&stages, 8, MicroSecs::ZERO);
-//! let report = simulate(&graph);
+//! let report = simulate(&graph, &Recorder::disabled())?;
 //! // Balanced 1F1B: (n + p - 1)(f + b) = 11 * 3.
 //! assert!((report.makespan - MicroSecs::new(33.0)).abs() < MicroSecs::new(1e-9));
+//! # Ok::<(), adapipe_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +50,8 @@ pub mod schedule;
 mod task;
 pub mod validate;
 
-pub use engine::{simulate, simulate_traced, try_simulate, try_simulate_traced};
+pub use adapipe_obs::Recorder;
+pub use engine::simulate;
 pub use error::SimError;
 pub use report::{DeviceReport, MemorySample, SimReport, TimelineEntry};
 pub use task::{Discipline, OpKind, StageExec, TaskGraph, TaskMeta};

@@ -138,6 +138,7 @@ mod tests {
     use crate::engine::simulate;
     use crate::schedule;
     use crate::task::StageExec;
+    use adapipe_obs::Recorder;
     use adapipe_units::{Bytes, MicroSecs};
 
     fn report() -> SimReport {
@@ -150,7 +151,11 @@ mod tests {
             };
             3
         ];
-        simulate(&schedule::one_f_one_b(&stages, 4, MicroSecs::ZERO))
+        simulate(
+            &schedule::one_f_one_b(&stages, 4, MicroSecs::ZERO),
+            &Recorder::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]

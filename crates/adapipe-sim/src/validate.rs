@@ -179,6 +179,7 @@ mod tests {
     use crate::engine::simulate;
     use crate::schedule;
     use crate::task::StageExec;
+    use adapipe_obs::Recorder;
     use adapipe_units::{Bytes, MicroSecs};
 
     fn stages(p: usize) -> Vec<StageExec> {
@@ -198,17 +199,26 @@ mod tests {
         let (p, n) = (4usize, 8usize);
         let st = stages(p);
         let p2p = MicroSecs::new(0.01);
-        check(&simulate(&schedule::one_f_one_b(&st, n, p2p)), 1).unwrap();
-        check(&simulate(&schedule::gpipe(&st, n, p2p)), 1).unwrap();
-        check(&simulate(&schedule::chimera(&st, n, p2p, false)), 1).unwrap();
-        check(&simulate(&schedule::chimera(&st, n, p2p, true)), 2).unwrap();
         let chunks = stages(2 * p);
-        check(&simulate(&schedule::interleaved(&chunks, p, n, p2p)), 1).unwrap();
+        for (graph, forwards_cover) in [
+            (schedule::one_f_one_b(&st, n, p2p), 1),
+            (schedule::gpipe(&st, n, p2p), 1),
+            (schedule::chimera(&st, n, p2p, false), 1),
+            (schedule::chimera(&st, n, p2p, true), 2),
+            (schedule::interleaved(&chunks, p, n, p2p), 1),
+        ] {
+            let report = simulate(&graph, &Recorder::disabled()).unwrap();
+            check(&report, forwards_cover).unwrap();
+        }
     }
 
     #[test]
     fn detects_backward_before_forward() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = simulate(
+            &schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         // Corrupt: move a backward before everything.
         let idx = report
             .timeline
@@ -232,7 +242,11 @@ mod tests {
 
     #[test]
     fn detects_device_overlap() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = simulate(
+            &schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         // Corrupt: stretch the first task over its successor.
         report.timeline[0].end += MicroSecs::new(100.0);
         // Re-sorting is the caller's contract; keep order and stretch.
@@ -244,7 +258,11 @@ mod tests {
 
     #[test]
     fn detects_unbalanced_passes() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = simulate(
+            &schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         let idx = report
             .timeline
             .iter()
@@ -259,7 +277,11 @@ mod tests {
 
     #[test]
     fn budget_check_flags_the_overrunning_device() {
-        let report = simulate(&schedule::one_f_one_b(&stages(3), 6, MicroSecs::ZERO));
+        let report = simulate(
+            &schedule::one_f_one_b(&stages(3), 6, MicroSecs::ZERO),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         // Stage 0 peaks at p = 3 saved "bytes"; a budget of 2 overruns.
         match check_budgets(&report, &[Bytes::new(2)]).unwrap_err() {
             SimError::BudgetExceeded {

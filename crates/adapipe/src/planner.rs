@@ -12,7 +12,7 @@ use adapipe_partition::{
 };
 use adapipe_profiler::{ProfileTable, Profiler};
 use adapipe_recompute::{strategy, KnapsackConfig, RecomputeStrategy};
-use adapipe_sim::{schedule, simulate_traced, StageExec};
+use adapipe_sim::{schedule, simulate, StageExec};
 use adapipe_units::{convert, Bytes, Flops, FlopsPerSec};
 use std::sync::Arc;
 
@@ -330,7 +330,7 @@ impl Planner {
         }
         let plan = {
             let _span = self.rec.span_cat(keys::SPAN_PLAN_PARTITION, "planner");
-            algorithm1::solve_traced(
+            algorithm1::solve(
                 &provider,
                 ctx.seq.len(),
                 parallel.pipeline(),
@@ -505,7 +505,7 @@ impl Planner {
     /// # Panics
     ///
     /// Panics if the plan's stage count does not match its parallel
-    /// configuration (corrupted plan).
+    /// configuration (corrupted plan), or if its schedule deadlocks.
     #[must_use]
     pub fn evaluate(&self, plan: &Plan) -> Evaluation {
         let _span = self
@@ -532,7 +532,13 @@ impl Planner {
         }
         let mut report = {
             let _span = self.rec.span_cat(keys::SPAN_EVALUATE_SIMULATE, "planner");
-            simulate_traced(&graph, &self.rec)
+            match simulate(&graph, &self.rec) {
+                Ok(report) => report,
+                // lint: allow(panic): the schedule generators never emit
+                // a deadlocking graph, so a deadlock here is a bug;
+                // fault-injected graphs go through `simulate` directly.
+                Err(e) => panic!("{e}"),
+            }
         };
 
         // End-of-iteration gradient all-reduce across the data-parallel

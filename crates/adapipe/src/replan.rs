@@ -299,8 +299,7 @@ impl Planner {
                 .recorder()
                 .span_cat(keys::SPAN_REPLAN_PARTITION, "replan");
             let started = self.recorder().is_enabled().then(std::time::Instant::now);
-            let solved =
-                algorithm1::solve_traced(&provider, ctx.seq.len(), p, ctx.n, self.recorder());
+            let solved = algorithm1::solve(&provider, ctx.seq.len(), p, ctx.n, self.recorder());
             if let Some(t0) = started {
                 self.recorder()
                     .observe(keys::REPLAN_SOLVE_US, t0.elapsed().as_secs_f64() * 1e6);

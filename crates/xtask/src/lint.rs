@@ -11,7 +11,6 @@
 //! | `panic`        | `panic!` / `todo!` / `unimplemented!` in library code    |
 //! | `index`        | integer-literal indexing (`xs[0]`) without a bounds gate |
 //! | `float-eq`     | `==` / `!=` on floating-point cost/time expressions      |
-//! | `traced-pair`  | a public `*_traced` fn with no non-traced twin           |
 //! | `unsafe-header`| a library crate missing `#![forbid(unsafe_code)]`        |
 //! | `raw-quantity-in-api` | a bare `f64`/`u64` time/byte/flops parameter in a |
 //! |                | public signature of a core cost crate — use an           |
@@ -83,7 +82,6 @@ pub fn run(root: &Path) -> Vec<Violation> {
             };
             let file = SourceFile::parse(rel(root, &path), &text);
             check_waiver_reasons(&file, &mut violations);
-            check_traced_pairs(&file, &mut violations);
             if kind == CrateKind::Library {
                 check_panic_freedom(&file, &mut violations);
                 check_float_eq(&file, &mut violations);
@@ -122,7 +120,6 @@ const RULES: &[&str] = &[
     "panic",
     "index",
     "float-eq",
-    "traced-pair",
     "unsafe-header",
     "raw-quantity-in-api",
     "index-confusion",
@@ -716,7 +713,7 @@ fn char_index(line: &str, byte_pos: usize) -> usize {
 
 /// Splits a parameter list on top-level commas into `(name, type)`
 /// pairs; receivers (`self` in any flavour) are skipped and the type is
-/// whitespace-normalised like [`param_types`].
+/// whitespace-normalised.
 fn param_decls(raw: &str) -> Vec<(String, String)> {
     let mut params = Vec::new();
     let mut depth = 0i64;
@@ -758,45 +755,9 @@ fn param_decls(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Every `pub fn *_traced(...)` must have a non-traced twin in the same
-/// file whose parameter types equal the traced signature's minus any
-/// `Recorder` parameters — keeping the traced API a strict superset.
-pub fn check_traced_pairs(file: &SourceFile, out: &mut Vec<Violation>) {
-    let fns: Vec<(usize, String, Vec<String>)> = public_fns(file)
-        .into_iter()
-        .map(|(line, name, raw)| (line, name, param_types(&raw)))
-        .collect();
-    for (line, name, params) in &fns {
-        let Some(base) = name.strip_suffix("_traced") else {
-            continue;
-        };
-        if file.is_waived("traced-pair", *line) {
-            continue;
-        }
-        let wanted: Vec<&String> = params.iter().filter(|p| !p.contains("Recorder")).collect();
-        let twin = fns.iter().any(|(_, n, p)| {
-            !n.ends_with("_traced")
-                && (n == base || n.starts_with(&format!("{base}_")))
-                && p.iter().collect::<Vec<_>>() == wanted
-        });
-        if !twin {
-            out.push(Violation {
-                path: file.path.clone(),
-                line: line + 1,
-                rule: "traced-pair",
-                message: format!(
-                    "public fn `{name}` has no non-traced twin with matching parameters \
-                     (expected a `{base}*` fn taking the same params minus the Recorder)"
-                ),
-            });
-        }
-    }
-}
-
 /// Extracts `(0-based line, name, raw parameter list)` for each public
-/// fn in non-test code. Callers split the raw list with
-/// [`param_types`] (types only, so twins can rename arguments) or
-/// [`param_decls`] (name/type pairs).
+/// fn in non-test code. Callers split the raw list into name/type
+/// pairs with [`param_decls`].
 fn public_fns(file: &SourceFile) -> Vec<(usize, String, String)> {
     let mut out = Vec::new();
     let text = &file.masked;
@@ -891,53 +852,6 @@ fn ident_before(bytes: &[char], i: usize) -> bool {
             .is_some_and(|c| c.is_alphanumeric() || *c == '_')
 }
 
-/// Splits a parameter list on top-level commas and keeps only the type
-/// part (after the first top-level `:`), normalising whitespace.
-fn param_types(raw: &str) -> Vec<String> {
-    let mut params = Vec::new();
-    let mut depth = 0i64;
-    let mut current = String::new();
-    for c in raw.chars() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            '>' | ')' | ']' => depth -= 1,
-            ',' if depth == 0 => {
-                params.push(std::mem::take(&mut current));
-                continue;
-            }
-            _ => {}
-        }
-        current.push(c);
-    }
-    if !current.trim().is_empty() {
-        params.push(current);
-    }
-    params
-        .into_iter()
-        .map(|p| {
-            let p = p.trim().to_string();
-            if p.starts_with('&') && p.contains("self") && !p.contains(':') {
-                return "self".to_string();
-            }
-            if p == "self" || p == "mut self" {
-                return "self".to_string();
-            }
-            let mut depth = 0i64;
-            for (i, c) in p.char_indices() {
-                match c {
-                    '<' | '(' | '[' => depth += 1,
-                    '>' | ')' | ']' => depth -= 1,
-                    ':' if depth == 0 => {
-                        return p[i + 1..].split_whitespace().collect::<String>();
-                    }
-                    _ => {}
-                }
-            }
-            p.split_whitespace().collect::<String>()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -996,44 +910,6 @@ mod tests {
         let f = file("fn a() { if x <= 0.5 { } if y >= 1.0 { } match z { _ => 0.1 } }\n");
         let mut v = Vec::new();
         check_float_eq(&f, &mut v);
-        assert!(
-            v.is_empty(),
-            "{:?}",
-            v.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn traced_pair_requires_twin() {
-        let orphan = file("pub fn solve_traced(x: usize, rec: &Recorder) -> f64 { 0.0 }\n");
-        let mut v = Vec::new();
-        check_traced_pairs(&orphan, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "traced-pair");
-
-        let paired = file(
-            "pub fn solve(x: usize) -> f64 { 0.0 }\n\
-             pub fn solve_traced(x: usize, rec: &Recorder) -> f64 { 0.0 }\n",
-        );
-        let mut v = Vec::new();
-        check_traced_pairs(&paired, &mut v);
-        assert!(
-            v.is_empty(),
-            "{:?}",
-            v.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn traced_pair_accepts_suffixed_twin() {
-        // optimize_traced's twin is optimize_with (same params minus Recorder).
-        let f = file(
-            "pub fn optimize_with(cfg: &Config, hook: impl FnMut(usize)) -> Plan { todo!() }\n\
-             pub fn optimize_traced(cfg: &Config, hook: impl FnMut(usize), rec: &Recorder) \
-             -> Plan { todo!() }\n",
-        );
-        let mut v = Vec::new();
-        check_traced_pairs(&f, &mut v);
         assert!(
             v.is_empty(),
             "{:?}",

@@ -3,7 +3,7 @@
 //! guarantees under randomized workloads.
 
 use adapipe_partition::{f1b_iteration_time, StageTimes};
-use adapipe_sim::{schedule, simulate, StageExec};
+use adapipe_sim::{schedule, simulate, Recorder, StageExec};
 use adapipe_units::{Bytes, MicroSecs};
 use proptest::prelude::*;
 
@@ -38,7 +38,7 @@ proptest! {
         ];
         let n = p + extra;
         let analytic = f1b_iteration_time(&stage_times, n).total().as_micros();
-        let simulated = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO))
+        let simulated = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &Recorder::disabled()).unwrap()
             .makespan
             .as_micros();
         prop_assert!(
@@ -83,7 +83,7 @@ proptest! {
         // Long steady phase: n >= 4p, as in every paper workload.
         let n = 4 * stages.len() + extra;
         let analytic = f1b_iteration_time(&stage_times, n).total();
-        let simulated = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO)).makespan;
+        let simulated = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &Recorder::disabled()).unwrap().makespan;
         prop_assert!(
             simulated >= analytic - MicroSecs::new(1e-9),
             "model must not overestimate"
@@ -115,7 +115,7 @@ proptest! {
             })
             .collect();
         let n = p + extra;
-        let report = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO));
+        let report = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &Recorder::disabled()).unwrap();
         for (s, dev) in report.devices.iter().enumerate() {
             prop_assert_eq!(
                 dev.peak_dynamic_bytes,
@@ -143,8 +143,8 @@ proptest! {
             })
             .collect();
         let n = stages.len() + extra;
-        let g = simulate(&schedule::gpipe(&stages, n, MicroSecs::ZERO));
-        let f = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO));
+        let g = simulate(&schedule::gpipe(&stages, n, MicroSecs::ZERO), &Recorder::disabled()).unwrap();
+        let f = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &Recorder::disabled()).unwrap();
         for (gd, fd) in g.devices.iter().zip(&f.devices) {
             prop_assert_eq!(gd.peak_dynamic_bytes, Bytes::new(n as u64 * saved));
             prop_assert!(gd.peak_dynamic_bytes >= fd.peak_dynamic_bytes);
@@ -169,8 +169,8 @@ proptest! {
             .collect();
         let n = stages.len() + 4;
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        let t_lo = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::new(lo))).makespan;
-        let t_hi = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::new(hi))).makespan;
+        let t_lo = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::new(lo)), &Recorder::disabled()).unwrap().makespan;
+        let t_hi = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::new(hi)), &Recorder::disabled()).unwrap().makespan;
         prop_assert!(t_hi >= t_lo - MicroSecs::new(1e-9));
     }
 }

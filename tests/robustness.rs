@@ -9,8 +9,9 @@ use adapipe_faults::{DegradedCluster, Fault, FaultPlan};
 use adapipe_hw::presets as hw;
 use adapipe_memory::{MemoryModel, OptimizerSpec};
 use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+use adapipe_obs::Recorder;
 use adapipe_profiler::{NoiseConfig, Profiler};
-use adapipe_recompute::optimize;
+use adapipe_recompute::{optimize, KnapsackConfig};
 use adapipe_units::{Bytes, MicroSecs};
 use proptest::prelude::*;
 use std::path::Path;
@@ -29,7 +30,13 @@ fn knapsack_is_stable_under_measurement_noise() {
     let clean_table = Profiler::new(hw::cluster_a()).profile(&model, &parallel, &train);
     let clean_units = clean_table.units_in(range);
     let budget = clean_units.iter().map(|u| u.mem_saved).sum::<Bytes>() * 60 / 100;
-    let clean = optimize(&clean_units, budget).unwrap();
+    let clean = optimize(
+        &clean_units,
+        budget,
+        KnapsackConfig::default(),
+        &Recorder::disabled(),
+    )
+    .unwrap();
 
     for seed in 0..8 {
         let noisy_table = Profiler::new(hw::cluster_a())
@@ -39,7 +46,13 @@ fn knapsack_is_stable_under_measurement_noise() {
             })
             .profile(&model, &parallel, &train);
         let noisy_units = noisy_table.units_in(range);
-        let noisy = optimize(&noisy_units, budget).unwrap();
+        let noisy = optimize(
+            &noisy_units,
+            budget,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         assert!(noisy.cost.saved_bytes_per_mb <= budget, "seed {seed}");
         // Evaluate the noisy choice under the *clean* costs.
         let realized = adapipe_recompute::strategy::cost_of(&clean_units, &noisy.strategy);
@@ -110,8 +123,14 @@ fn noisy_profiles_still_produce_feasible_plans() {
             .profile(&model, &parallel, &train);
         let capacity = Bytes::new((hw::a100_80gb().usable_bytes().as_f64() * 0.875) as u64);
         let provider = adapipe_partition::KnapsackCostProvider::new(&seq, &table, &mem, capacity);
-        let plan = adapipe_partition::algorithm1::solve(&provider, seq.len(), 8, 64)
-            .expect("noisy profile still feasible");
+        let plan = adapipe_partition::algorithm1::solve(
+            &provider,
+            seq.len(),
+            8,
+            64,
+            &Recorder::disabled(),
+        )
+        .expect("noisy profile still feasible");
         assert_eq!(plan.ranges.len(), 8);
         assert!(plan.iteration_time().is_finite());
     }
