@@ -58,7 +58,9 @@ pub struct OptimizedStage {
 ///
 /// DP effort goes to `rec` (free with [`Recorder::disabled`]): per-call
 /// wall time (`recompute.knapsack.us`), cells evaluated
-/// (`recompute.knapsack.cells`), re-bucketing rounds beyond the GCD
+/// (`recompute.knapsack.cells`: `Σ_i (reach_i − w_i + 1)⁺` over the free
+/// units on the scaled axis, where `reach_i` is the capacity clamped to
+/// the item's weight prefix sum), re-bucketing rounds beyond the GCD
 /// scale (`recompute.knapsack.rebuckets`) and the final scale factor
 /// (`recompute.knapsack.gcd_scale` gauge).
 ///
@@ -128,6 +130,29 @@ pub fn optimize(
 
 /// 0/1 knapsack over the free units; returns the original indices of the
 /// units to save.
+fn solve(
+    free: &[(usize, &UnitProfile)],
+    budget: Bytes,
+    config: KnapsackConfig,
+    rec: &Recorder,
+) -> Vec<usize> {
+    // Everything fits: skip the DP entirely.
+    let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
+    if total.fits(budget) {
+        return free.iter().map(|(i, _)| *i).collect();
+    }
+    let (weights, capacity) = memory_axis(free, budget, config, rec);
+    let values: Vec<f64> = free
+        .iter()
+        .map(|(_, u)| Cost::of(u.time_f).time().as_micros())
+        .collect();
+    let (items, cells) = dp(&weights, &values, capacity);
+    rec.add(keys::KNAPSACK_CELLS, cells);
+    items.into_iter().map(|item| free[item].0).collect()
+}
+
+/// The DP's integer memory axis: each free unit's scaled weight and the
+/// scaled capacity.
 ///
 /// # Rescaling audit (§5.3)
 ///
@@ -145,20 +170,14 @@ pub fn optimize(
 /// `Σ scaled-feasible footprints ≤ scale · capacity ≤ budget` holds
 /// exactly; `optimize` debug-asserts it and the
 /// `rescaled_solution_feasible_in_unscaled_bytes` proptest exercises it
-/// with adversarial sizes and forced re-bucketing.
-fn solve(
+/// with adversarial sizes and forced re-bucketing. With `scale` equal to
+/// the GCD both roundings are exact and the DP is optimal.
+fn memory_axis(
     free: &[(usize, &UnitProfile)],
     budget: Bytes,
     config: KnapsackConfig,
     rec: &Recorder,
-) -> Vec<usize> {
-    // Everything fits: skip the DP entirely.
-    let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
-    if total.fits(budget) {
-        return free.iter().map(|(i, _)| *i).collect();
-    }
-
-    // §5.3 GCD rescaling of the memory axis.
+) -> (Vec<usize>, usize) {
     let g = if config.disable_gcd {
         1
     } else {
@@ -175,53 +194,100 @@ fn solve(
         capacity = convert::u64_usize_saturating(budget.get() / scale);
         rec.incr(keys::KNAPSACK_REBUCKETS);
     }
-    // `scale == g` means both roundings below are exact and the DP is
-    // optimal; the flag is recomputed by the bench ablations.
-    let _exact = scale == g;
     rec.gauge_max(keys::KNAPSACK_GCD_SCALE, convert::u64_f64(scale));
-    rec.add(
-        keys::KNAPSACK_CELLS,
-        convert::usize_u64((capacity + 1) * free.len()),
-    );
-
     // Weights round UP: never pretend a unit is smaller than it is.
-    // (With `scale == g` both roundings are exact and the DP is optimal.)
-    let weights: Vec<usize> = free
+    let weights = free
         .iter()
         .map(|(_, u)| convert::u64_usize_saturating(u.mem_saved.get().div_ceil(scale)))
         .collect();
+    (weights, capacity)
+}
 
-    // value[m]: best saved forward time using capacity m. `Cost` gives
-    // the DP a NaN-free total order on its MicroSecs value axis.
-    // take[i] is a bitset over capacities where item i is taken.
-    let mut value = vec![Cost::ZERO; capacity + 1];
-    let words = capacity / 64 + 1;
-    let mut take: Vec<Vec<u64>> = Vec::with_capacity(free.len());
-    for (item, (_, u)) in free.iter().enumerate() {
-        let w = weights[item];
-        let mut bits = vec![0u64; words];
-        if w <= capacity {
-            for m in (w..=capacity).rev() {
-                let cand = value[m - w] + Cost::of(u.time_f);
-                if cand > value[m] {
-                    value[m] = cand;
-                    bits[m / 64] |= 1 << (m % 64);
-                }
-            }
+/// Cells per DP block: one `u64` word of the take matrix.
+const LANES: usize = 64;
+
+/// The 0/1 knapsack DP over `weights` (≥ 1 each) and `values` (≥ 0, in
+/// µs) at `capacity`. Returns the taken item indices, last item first,
+/// and the number of cells evaluated, `Σ_i (reach_i − w_i + 1)⁺`.
+///
+/// It computes the textbook recurrence
+/// `V_i(m) = max(V_{i−1}(m), V_{i−1}(m − w_i) + v_i)`, taking item `i`
+/// only on a strict gain, and traces back from `m = capacity`. Three
+/// things make it cheap without changing a single bit of the answer.
+///
+/// **Reach clamp.** Let `S_i = Σ_{j≤i} w_j` and
+/// `reach_i = min(capacity, S_i)`. For every `m ≥ S_i`, `V_i(m)` and
+/// item `i`'s take bit at `m` are bitwise equal to those at `S_i`.
+/// Induction on `i`: `V_0 ≡ +0.0`. For `m ≥ S_i` both operands of the
+/// recurrence sit at or above the previous prefix sum — `m ≥ S_{i−1}`
+/// and `m − w_i ≥ S_i − w_i = S_{i−1}` — so by hypothesis they equal
+/// the operands at `m = S_i`, and so do the maximum and the bit. Item
+/// `i` therefore updates only `[w_i, reach_i]`. Its reads stay at or
+/// below `reach_i − w_i ≤ reach_{i−1}`, and before its pass the
+/// plateau `(reach_{i−1}, reach_i]` is filled with `V_{i−1}(reach_{i−1})`,
+/// which by the claim is `V_{i−1}` there. Cells above `reach_i` are
+/// never written for item `i`, so the traceback reads its bit at
+/// `min(m, reach_i)`.
+///
+/// **Blocks.** Each pass walks 64-cell blocks aligned to take-matrix
+/// words from the top down. A block first copies its source window
+/// `value[lo − w..=hi − w]` into a stack array (lanes outside
+/// `[lo, hi]` read `−∞`, which never wins), so the update is in place
+/// and aliasing-safe even when `w < 64`: every source cell lies in this
+/// block or a lower one, none yet written in this pass. The fixed-length
+/// lane loop compiles to compare, select and bit-pack.
+///
+/// **Plain `f64`.** The row starts at `+0.0` and, with `values ≥ 0`,
+/// only rises and is never NaN or `−0.0` (`+∞ + x` stays `+∞`). On such
+/// values `>` orders every pair exactly as [`Cost`]'s `total_cmp` does,
+/// and `−∞ + v` is `−∞` or NaN, neither of which compares greater.
+fn dp(weights: &[usize], values: &[f64], capacity: usize) -> (Vec<usize>, u64) {
+    let words = capacity / LANES + 1;
+    let mut value = vec![[0.0f64; LANES]; words];
+    // take[item · words + k]: item's take bits for cells 64k..64k + 63.
+    let mut take = vec![0u64; weights.len() * words];
+    let mut reach = Vec::with_capacity(weights.len());
+    let (mut prev, mut prefix, mut cells) = (0usize, 0usize, 0u64);
+    for (row, (&w, &v)) in take.chunks_exact_mut(words).zip(weights.iter().zip(values)) {
+        debug_assert!(w >= 1 && v >= 0.0, "weight {w}, value {v}");
+        prefix = prefix.saturating_add(w);
+        let top = prefix.min(capacity);
+        let flat = value.as_flattened_mut();
+        let plateau = flat[prev];
+        flat[prev + 1..=top].fill(plateau);
+        reach.push(top);
+        prev = top;
+        if w > top {
+            continue;
         }
-        take.push(bits);
+        cells += convert::usize_u64(top - w + 1);
+        for k in (w / LANES..=top / LANES).rev() {
+            let base = k * LANES;
+            let (lo, hi) = (base.max(w), (base + LANES - 1).min(top));
+            let mut src = [f64::NEG_INFINITY; LANES];
+            src[lo - base..=hi - base].copy_from_slice(&value.as_flattened()[lo - w..=hi - w]);
+            let mut bits = 0u64;
+            for (lane, (cur, s)) in value[k].iter_mut().zip(src).enumerate() {
+                let cand = s + v;
+                let gain = cand > *cur;
+                *cur = if gain { cand } else { *cur };
+                bits |= u64::from(gain) << lane;
+            }
+            row[k] = bits;
+        }
     }
 
     // Trace back the chosen set.
     let mut chosen = Vec::new();
     let mut m = capacity;
-    for item in (0..free.len()).rev() {
-        if take[item][m / 64] >> (m % 64) & 1 == 1 {
-            chosen.push(free[item].0);
+    for item in (0..weights.len()).rev() {
+        let at = m.min(reach[item]);
+        if take[item * words + at / LANES] >> (at % LANES) & 1 == 1 {
+            chosen.push(item);
             m -= weights[item];
         }
     }
-    chosen
+    (chosen, cells)
 }
 
 /// Greatest common divisor (used by the §5.3 rescaling).
@@ -559,6 +625,182 @@ mod tests {
         assert!(opt.cost.saved_bytes_per_mb <= budget);
         // And still save strictly more than the pinned floor.
         assert!(opt.strategy.saved_count() > us.iter().filter(|u| u.is_pinned()).count());
+        Ok(())
+    }
+
+    /// The dense DP loop, the oracle for [`dp`]: one pass per item over
+    /// all of `[w, capacity]`, a `Cost` row and one bit row per item.
+    fn reference_dp(weights: &[usize], times: &[MicroSecs], capacity: usize) -> Vec<usize> {
+        let mut value = vec![Cost::ZERO; capacity + 1];
+        let words = capacity / 64 + 1;
+        let mut take: Vec<Vec<u64>> = Vec::with_capacity(weights.len());
+        for (item, &t) in times.iter().enumerate() {
+            let w = weights[item];
+            let mut bits = vec![0u64; words];
+            if w <= capacity {
+                for m in (w..=capacity).rev() {
+                    let cand = value[m - w] + Cost::of(t);
+                    if cand > value[m] {
+                        value[m] = cand;
+                        bits[m / 64] |= 1 << (m % 64);
+                    }
+                }
+            }
+            take.push(bits);
+        }
+        let mut chosen = Vec::new();
+        let mut m = capacity;
+        for item in (0..weights.len()).rev() {
+            if take[item][m / 64] >> (m % 64) & 1 == 1 {
+                chosen.push(item);
+                m -= weights[item];
+            }
+        }
+        chosen
+    }
+
+    /// Runs [`dp`] and [`reference_dp`] on one weight/time list.
+    fn both_dps(
+        weights: &[usize],
+        times: &[MicroSecs],
+        capacity: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let values: Vec<f64> = times
+            .iter()
+            .map(|&t| Cost::of(t).time().as_micros())
+            .collect();
+        (
+            dp(weights, &values, capacity).0,
+            reference_dp(weights, times, capacity),
+        )
+    }
+
+    /// Runs both DPs on the memory axis `optimize` would build for
+    /// `units` at `budget`.
+    fn both_dps_on_units(
+        units: &[UnitProfile],
+        budget: Bytes,
+        config: KnapsackConfig,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let free: Vec<(usize, &UnitProfile)> = units
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| !u.is_pinned() && u.mem_saved > Bytes::ZERO)
+            .collect();
+        let (weights, capacity) = memory_axis(&free, budget, config, &Recorder::disabled());
+        let times: Vec<MicroSecs> = free.iter().map(|(_, u)| u.time_f).collect();
+        both_dps(&weights, &times, capacity)
+    }
+
+    /// An item time from a drawn `(kind, integer, fraction)`: mostly
+    /// small integers (ties), sometimes an arbitrary fraction, sometimes
+    /// NaN (which `Cost::of` maps to +∞).
+    fn item_time((kind, int, frac): (u32, u32, f64)) -> MicroSecs {
+        MicroSecs::new(match kind {
+            0..=5 => f64::from(int),
+            6..=8 => frac,
+            _ => f64::NAN,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The blocked, reach-clamped kernel picks exactly the items the
+        /// dense loop picks: weights below, at and above one 64-cell
+        /// block, runs of identical items (ties decide which copy the
+        /// traceback takes), items heavier than the capacity, NaN times
+        /// and capacities off the block grid.
+        #[test]
+        fn kernel_matches_the_reference_loop(
+            runs in proptest::collection::vec(
+                (1usize..=300, (0u32..10, 0u32..20, 0.0f64..1e4), 1usize..=6),
+                1..12,
+            ),
+            capacity in 0usize..=2000,
+        ) {
+            let (mut weights, mut times) = (Vec::new(), Vec::new());
+            for (w, t, copies) in runs {
+                weights.extend(std::iter::repeat_n(w, copies));
+                times.extend(std::iter::repeat_n(item_time(t), copies));
+            }
+            let (fast, slow) = both_dps(&weights, &times, capacity);
+            prop_assert_eq!(fast, slow);
+        }
+
+        /// The same equivalence on unit footprints in bytes, with a small
+        /// cell cap forcing re-bucketing of the memory axis.
+        #[test]
+        fn kernel_matches_the_reference_loop_after_rebucketing(
+            items in proptest::collection::vec(
+                (1u64..50_000, (0u32..10, 0u32..20, 0.0f64..1e4)),
+                2..40,
+            ),
+            budget_pct in 1u64..100,
+            max_capacity_cells in 4usize..2000,
+        ) {
+            use adapipe_model::{ComputationUnit, UnitKind};
+            let us: Vec<UnitProfile> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &(bytes, t))| UnitProfile {
+                    unit: ComputationUnit { kind: UnitKind::FfnAct, layer: i },
+                    time_f: item_time(t),
+                    time_b: MicroSecs::new(1.0),
+                    mem_saved: Bytes::new(bytes),
+                })
+                .collect();
+            let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+            let config = KnapsackConfig { max_capacity_cells, disable_gcd: false };
+            let (fast, slow) = both_dps_on_units(&us, all * budget_pct / 100, config);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_loop_on_gpt3_windows() -> TestResult {
+        let parallel = ParallelConfig::new(8, 8, 1)?;
+        let train = TrainConfig::new(1, 16384, 32)?;
+        let table =
+            Profiler::new(hw::cluster_a()).profile(&presets::gpt3_175b(), &parallel, &train);
+        for last in [12, 24, 48] {
+            let us = table.units_in(LayerRange::new(1, last));
+            let free: Bytes = us
+                .iter()
+                .filter(|u| !u.is_pinned())
+                .map(|u| u.mem_saved)
+                .sum();
+            for pct in [25u64, 60, 90] {
+                let (fast, slow) =
+                    both_dps_on_units(&us, free * pct / 100, KnapsackConfig::default());
+                assert!(!fast.is_empty(), "layers 1..={last} at {pct}%");
+                assert_eq!(fast, slow, "layers 1..={last} at {pct}%");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn cells_counter_counts_reach_clamped_cells() -> TestResult {
+        use adapipe_model::{ComputationUnit, UnitKind};
+        // Weights [3, 5] at capacity 6: item 0 evaluates [3, 3] (its
+        // reach is 3), item 1 evaluates [5, 6] — 1 + 2 = 3 cells.
+        let us: Vec<UnitProfile> = [3u64, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| UnitProfile {
+                unit: ComputationUnit {
+                    kind: UnitKind::FfnAct,
+                    layer: i,
+                },
+                time_f: MicroSecs::new(1.0 + convert::count_f64(i)),
+                time_b: MicroSecs::new(1.0),
+                mem_saved: Bytes::new(bytes),
+            })
+            .collect();
+        let rec = Recorder::new();
+        let opt = optimize(&us, Bytes::new(6), KnapsackConfig::default(), &rec)?;
+        assert_eq!(rec.snapshot().counters["recompute.knapsack.cells"], 3);
+        assert!(opt.strategy.is_saved(1) && !opt.strategy.is_saved(0));
         Ok(())
     }
 }
