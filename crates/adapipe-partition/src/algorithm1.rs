@@ -91,11 +91,11 @@ pub fn solve(
     assert!(n >= p, "1F1B needs n >= p (n={n}, p={p})");
     let l = num_layers;
 
-    // P[s][i]; only i in [s, l - (p - s)] are reachable.
+    // P[s][i]; only the i of `first_layers(s)` are filled.
     let mut table: Vec<Vec<Option<State>>> = vec![vec![None; l]; p];
 
     // Base case: the last stage takes everything from i to the end.
-    for i in (p - 1)..l {
+    for i in first_layers(l, p, p - 1) {
         states += 1;
         candidates += 1;
         let range = LayerRange::new(i, l - 1);
@@ -116,7 +116,7 @@ pub fn solve(
     // Backwards sweep over stages.
     for s in (0..p - 1).rev() {
         let remaining = p - s; // stages still to place, including s
-        for i in s..=(l - remaining) {
+        for i in first_layers(l, p, s) {
             states += 1;
             let mut best: Option<State> = None;
             // Stage s takes layers i..=j; the tail needs p-1-s layers.
@@ -180,6 +180,20 @@ pub fn solve(
     })
 }
 
+/// The first layers `i` whose states `P[s][i]` Algorithm 1 fills, in
+/// the order it fills them: `s..=l − (p − s)`, descending, except that
+/// stage 0 fills only `P[0][0]`, the one state the reconstruction reads.
+///
+/// Descending `i` (with ascending splits `j` inside each state) makes
+/// every §5.3 class `(stage, first-layer kind, ends-last)` meet its new
+/// window lengths in ascending order, which is the order in which a
+/// knapsack chain extends (see [`adapipe_recompute::Chain`]).
+/// Each state breaks ties by the lowest split whatever the order of `i`.
+fn first_layers(l: usize, p: usize, s: usize) -> impl Iterator<Item = usize> {
+    let top = if s == 0 { 0 } else { l - (p - s) };
+    (s..=top).rev()
+}
+
 /// Enumerates every `(stage, layer window)` pair [`solve`] can query for
 /// an instance of `num_layers` layers over `p` stages, in the same order
 /// the DP visits them. Feed the result to
@@ -206,12 +220,12 @@ pub fn reachable_windows(num_layers: usize, p: usize) -> Vec<(usize, LayerRange)
     );
     let l = num_layers;
     let mut windows = Vec::new();
-    for i in (p - 1)..l {
+    for i in first_layers(l, p, p - 1) {
         windows.push((p - 1, LayerRange::new(i, l - 1)));
     }
     for s in (0..p - 1).rev() {
         let remaining = p - s;
-        for i in s..=(l - remaining) {
+        for i in first_layers(l, p, s) {
             for j in i..=(l - remaining) {
                 windows.push((s, LayerRange::new(i, j)));
             }
@@ -402,7 +416,13 @@ mod tests {
 
     #[test]
     fn reachable_windows_covers_every_solve_query() {
-        for (l, p, n) in [(6usize, 2usize, 8usize), (8, 4, 8), (9, 3, 20), (5, 5, 5)] {
+        for (l, p, n) in [
+            (6usize, 2usize, 8usize),
+            (8, 4, 8),
+            (9, 3, 20),
+            (5, 5, 5),
+            (4, 1, 4),
+        ] {
             let inner = Synthetic {
                 weights: vec![1.0; l],
             };
@@ -411,14 +431,142 @@ mod tests {
                 seen: std::sync::Mutex::new(Vec::new()),
             };
             let _ = solve(&rec, l, p, n, &Recorder::disabled());
-            let reachable: std::collections::HashSet<(usize, LayerRange)> =
-                reachable_windows(l, p).into_iter().collect();
-            for q in rec.seen.lock().unwrap().iter() {
+            let seen = rec.seen.lock().unwrap();
+            let mut reachable = reachable_windows(l, p).into_iter();
+            for q in seen.iter() {
                 assert!(
-                    reachable.contains(q),
-                    "l={l} p={p}: solve queried {q:?} outside reachable_windows"
+                    reachable.any(|w| w == *q),
+                    "l={l} p={p}: solve queried {q:?} outside reachable_windows or out of order"
                 );
             }
+            // Stage 0 fills only P[0][0].
+            assert!(seen.iter().all(|&(s, r)| s > 0 || r.first == 0));
+        }
+    }
+
+    /// The textbook sweep, the oracle for [`solve`]'s trimmed and
+    /// descending one: ascending `i` and every stage-0 state.
+    fn ascending_solve(
+        provider: &impl StageCostProvider,
+        l: usize,
+        p: usize,
+        n: usize,
+    ) -> Option<PartitionPlan> {
+        let mut table: Vec<Vec<Option<State>>> = vec![vec![None; l]; p];
+        for i in (p - 1)..l {
+            if let Some(times) = provider.stage_times(p - 1, LayerRange::new(i, l - 1)) {
+                let m = times.f + times.b;
+                table[p - 1][i] = Some(State {
+                    w: times.f,
+                    e: times.b,
+                    m,
+                    f: times.f,
+                    b: times.b,
+                    t: Cost::of(times.f + times.b + convert::count_f64(n - 1) * m),
+                    split: l - 1,
+                });
+            }
+        }
+        for s in (0..p - 1).rev() {
+            let remaining = p - s;
+            for i in s..=(l - remaining) {
+                let mut best: Option<State> = None;
+                for j in i..=(l - remaining) {
+                    let Some(next) = table[s + 1][j + 1] else {
+                        continue;
+                    };
+                    let Some(times) = provider.stage_times(s, LayerRange::new(i, j)) else {
+                        continue;
+                    };
+                    let ahead = convert::count_f64(p - s - 1);
+                    let w = times.f + (next.w + next.b).max(ahead * times.f);
+                    let e = times.b + (next.e + next.f).max(ahead * times.b);
+                    let m = next.m.max(times.f + times.b);
+                    let t = Cost::of(w + e + convert::count_f64(n - p + s) * m);
+                    if best.is_none_or(|cur| t < cur.t) {
+                        best = Some(State {
+                            w,
+                            e,
+                            m,
+                            f: times.f,
+                            b: times.b,
+                            t,
+                            split: j,
+                        });
+                    }
+                }
+                table[s][i] = best;
+            }
+        }
+        let mut ranges = Vec::with_capacity(p);
+        let mut stage_times = Vec::with_capacity(p);
+        let mut first = 0usize;
+        for s in 0..p {
+            let state = table[s][first]?;
+            ranges.push(LayerRange::new(first, state.split));
+            stage_times.push(StageTimes {
+                f: state.f,
+                b: state.b,
+            });
+            first = state.split + 1;
+        }
+        let root = table[0][0]?;
+        Some(PartitionPlan {
+            ranges,
+            stage_times,
+            breakdown: F1bBreakdown {
+                warmup: root.w,
+                steady: convert::count_f64(n - p) * root.m,
+                ending: root.e,
+                bottleneck: root.m,
+            },
+        })
+    }
+
+    /// Layer `k` costs `weights[k]` forward and twice that backward;
+    /// stage `s` cannot hold more than `caps[s]` layers.
+    struct CappedSynthetic {
+        weights: Vec<f64>,
+        caps: Vec<usize>,
+    }
+
+    impl StageCostProvider for CappedSynthetic {
+        fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
+            if range.len() > self.caps[stage] {
+                return None;
+            }
+            let f: f64 = self.weights[range.first..=range.last].iter().sum();
+            Some(StageTimes {
+                f: MicroSecs::new(f),
+                b: MicroSecs::new(2.0 * f),
+            })
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The trimmed, descending sweep returns exactly the plan of the
+        /// ascending, untrimmed one: small integer weights make ties
+        /// common, and per-stage caps make windows and whole instances
+        /// infeasible.
+        #[test]
+        fn solve_matches_the_ascending_untrimmed_sweep(
+            weights in proptest::collection::vec(1u32..4, 1..12),
+            caps in proptest::collection::vec(1usize..12, 12),
+            p_pick in 0usize..12,
+            extra in 0usize..10,
+        ) {
+            let l = weights.len();
+            let p = p_pick % l + 1;
+            let n = p + extra;
+            let provider = CappedSynthetic {
+                weights: weights.into_iter().map(f64::from).collect(),
+                caps,
+            };
+            proptest::prop_assert_eq!(
+                solve(&provider, l, p, n, &Recorder::disabled()),
+                ascending_solve(&provider, l, p, n)
+            );
         }
     }
 

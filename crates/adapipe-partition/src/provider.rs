@@ -6,7 +6,9 @@
 //! counters are atomics, so leaf evaluations can fan out over an
 //! [`adapipe_exec::ExecPool`] (see [`KnapsackCostProvider::prefill`])
 //! while Algorithm 1 itself stays serial — which is what keeps plans
-//! byte-identical at any thread count.
+//! byte-identical at any thread count. The knapsack chains sit behind a
+//! `Mutex` taken with `try_lock`: a leaf that finds them busy solves on
+//! a fresh chain, with the same result.
 
 use crate::cost::StageTimes;
 use crate::subcache::{self, SubproblemCache};
@@ -15,15 +17,15 @@ use adapipe_exec::{CacheStats, ExecError, ExecPool};
 use adapipe_memory::MemoryModel;
 use adapipe_model::{LayerKind, LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
-use adapipe_profiler::ProfileTable;
+use adapipe_profiler::{ProfileTable, UnitProfile};
 use adapipe_recompute::{
-    optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, StrategyError,
+    optimize, optimize_exhaustive, Chain, KnapsackConfig, OptimizedStage, StrategyError,
 };
 use adapipe_units::{convert, Bytes};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// Source of the `f[s,i,j]` / `b[s,i,j]` arrays consumed by Algorithm 1.
 ///
@@ -70,6 +72,18 @@ pub struct KnapsackCostProvider<'a> {
     cache: Mutex<HashMap<IsoKey, Option<StageTimes>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    chains: Mutex<StageChains>,
+}
+
+/// The knapsack chains of one stage, one per window class
+/// `(first-layer kind, ends-last)`. Algorithm 1 meets each class's new
+/// windows in ascending length within a stage, so each window extends
+/// the previous one's DP (see [`Chain`]); chains of earlier stages are
+/// dropped, so at most one stage's chains are alive.
+#[derive(Debug, Default)]
+struct StageChains {
+    stage: usize,
+    by_class: HashMap<(LayerKind, bool), Chain>,
 }
 
 impl<'a> KnapsackCostProvider<'a> {
@@ -95,6 +109,7 @@ impl<'a> KnapsackCostProvider<'a> {
             cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            chains: Mutex::new(StageChains::default()),
         }
     }
 
@@ -183,18 +198,58 @@ impl<'a> KnapsackCostProvider<'a> {
             Some((sc, subcache::leaf_key(digests, budget, self.knapsack)))
         });
         let Some((sc, key)) = keyed else {
-            return optimize(&units, budget, self.knapsack, &self.rec);
+            return self.solve(stage, range, &units, budget);
         };
         if let Some(outcome) = sc.lookup(&key) {
             self.rec.incr(keys::SUBCACHE_HITS);
             return subcache::rebuild(&units, budget, &outcome);
         }
         self.rec.incr(keys::SUBCACHE_MISSES);
-        let result = optimize(&units, budget, self.knapsack, &self.rec);
+        let result = self.solve(stage, range, &units, budget);
         if let Some(outcome) = subcache::outcome_of(&result) {
             sc.store(key, outcome);
         }
         result
+    }
+
+    /// Runs the knapsack for one window on the chain of its class, or on
+    /// a fresh chain while another thread holds the chains (parallel
+    /// prefill). Both give the same result.
+    fn solve(
+        &self,
+        stage: usize,
+        range: LayerRange,
+        units: &[UnitProfile],
+        budget: Bytes,
+    ) -> Result<OptimizedStage, StrategyError> {
+        let mut chains = match self.chains.try_lock() {
+            Ok(chains) => chains,
+            Err(TryLockError::WouldBlock) => {
+                return optimize(units, budget, self.knapsack, &self.rec);
+            }
+            // A panic mid-solve may have left a chain half-pushed: drop
+            // every chain and start over.
+            Err(TryLockError::Poisoned(poisoned)) => {
+                let mut chains = poisoned.into_inner();
+                *chains = StageChains::default();
+                self.chains.clear_poison();
+                chains
+            }
+        };
+        if chains.stage != stage {
+            chains.by_class.clear();
+            chains.stage = stage;
+        }
+        let IsoKey {
+            first_kind,
+            ends_last,
+            ..
+        } = self.iso_key(stage, range);
+        chains
+            .by_class
+            .entry((first_kind, ends_last))
+            .or_default()
+            .optimize(units, budget, self.knapsack, &self.rec)
     }
 
     /// Evaluates, in parallel over `pool`, one representative leaf for
@@ -440,6 +495,53 @@ mod tests {
         }
         assert!(cached.cache_stats().hits > 0);
         assert_eq!(raw.cache_stats().hits, 0);
+    }
+
+    /// The §5.3 isomorphism cache (and the knapsack chains, which reach
+    /// a class through whichever window Algorithm 1 meets first) rely on
+    /// every window of a class giving the same leaf. Checked on every
+    /// window of up to eight layers at the first and last stage, under
+    /// capacities tight enough that the knapsack binds and some windows
+    /// do not fit at all.
+    #[test]
+    fn every_window_of_an_iso_class_yields_the_same_leaf() {
+        for (model, parallel, seq_len, capacity_mib) in [
+            (presets::gpt2_small(), (2, 4, 1), 1024, 256u64),
+            (presets::bert_large(), (2, 4, 1), 512, 512),
+            (presets::llama2_70b(), (8, 8, 1), 4096, 8 << 10),
+            (presets::gpt3_175b(), (8, 8, 1), 16384, 16 << 10),
+        ] {
+            let parallel = ParallelConfig::new(parallel.0, parallel.1, parallel.2).unwrap();
+            let p = parallel.pipeline();
+            let fx = fixture(model, parallel, seq_len);
+            let rec = Recorder::new();
+            let provider = KnapsackCostProvider::new(
+                &fx.seq,
+                &fx.table,
+                &fx.mem,
+                Bytes::new(capacity_mib << 20),
+            )
+            .with_recorder(rec.clone());
+            let l = fx.seq.len();
+            for stage in [0, p - 1] {
+                let mut first_of_class: HashMap<IsoKey, (LayerRange, Option<OptimizedStage>)> =
+                    HashMap::new();
+                for first in 0..l {
+                    for last in first..l.min(first + 8) {
+                        let range = LayerRange::new(first, last);
+                        let leaf = provider.optimize_stage(stage, range).ok();
+                        let (rep, expect) = first_of_class
+                            .entry(provider.iso_key(stage, range))
+                            .or_insert((range, leaf.clone()));
+                        assert_eq!(&leaf, expect, "stage {stage}: {range:?} vs {rep:?}");
+                    }
+                }
+            }
+            assert!(
+                rec.snapshot().counters["recompute.knapsack.cells"] > 0,
+                "l={l}"
+            );
+        }
     }
 
     #[test]

@@ -56,11 +56,15 @@ pub struct OptimizedStage {
 /// over the free units, on a memory axis rescaled by the GCD of their
 /// sizes (§5.3).
 ///
+/// This is [`Chain::optimize`] on a fresh chain; a caller that solves
+/// windows which extend one another keeps a [`Chain`] instead.
+///
 /// DP effort goes to `rec` (free with [`Recorder::disabled`]): per-call
 /// wall time (`recompute.knapsack.us`), cells evaluated
 /// (`recompute.knapsack.cells`: `Σ_i (reach_i − w_i + 1)⁺` over the free
-/// units on the scaled axis, where `reach_i` is the capacity clamped to
-/// the item's weight prefix sum), re-bucketing rounds beyond the GCD
+/// units the call pushes on the scaled axis, where `reach_i` is the
+/// capacity clamped to the item's weight prefix sum; a chained solve
+/// counts only the items it adds), re-bucketing rounds beyond the GCD
 /// scale (`recompute.knapsack.rebuckets`) and the final scale factor
 /// (`recompute.knapsack.gcd_scale` gauge).
 ///
@@ -74,81 +78,285 @@ pub fn optimize(
     config: KnapsackConfig,
     rec: &Recorder,
 ) -> Result<OptimizedStage, StrategyError> {
-    let started = rec.is_enabled().then(Instant::now);
-    rec.incr(keys::KNAPSACK_CALLS);
-    let pinned_bytes: Bytes = units
-        .iter()
-        .filter(|u| u.is_pinned())
-        .map(|u| u.mem_saved)
-        .sum();
-    let free_budget =
-        budget_per_mb
-            .checked_sub(pinned_bytes)
-            .ok_or(StrategyError::OutOfMemory {
-                required: pinned_bytes,
-                budget: budget_per_mb,
-            })?;
-
-    let free: Vec<(usize, &UnitProfile)> = units
-        .iter()
-        .enumerate()
-        .filter(|(_, u)| !u.is_pinned() && u.mem_saved > Bytes::ZERO)
-        .collect();
-
-    let mut saved: Vec<bool> = units.iter().map(UnitProfile::is_pinned).collect();
-    // Zero-size free units are free to save; never recompute them.
-    for (i, u) in units.iter().enumerate() {
-        if !u.is_pinned() && u.mem_saved == Bytes::ZERO {
-            saved[i] = true;
-        }
-    }
-
-    if !free.is_empty() {
-        let chosen = solve(&free, free_budget, config, rec);
-        for idx in chosen {
-            saved[idx] = true;
-        }
-    }
-
-    let strategy = RecomputeStrategy::from_flags(units, saved);
-    let cost = cost_of(units, &strategy);
-    if let Some(t0) = started {
-        rec.observe(keys::KNAPSACK_US, t0.elapsed().as_secs_f64() * 1e6);
-    }
-    // Rescaling audit: the DP must never over-commit the real budget
-    // (weights round *up*, capacity rounds *down* — see `solve`).
-    debug_assert!(
-        cost.saved_bytes_per_mb.fits(budget_per_mb),
-        "knapsack over-committed the unscaled budget"
-    );
-    Ok(OptimizedStage {
-        slack_bytes: budget_per_mb.saturating_sub(cost.saved_bytes_per_mb),
-        strategy,
-        cost,
-    })
+    Chain::default().optimize(units, budget_per_mb, config, rec)
 }
 
-/// 0/1 knapsack over the free units; returns the original indices of the
-/// units to save.
-fn solve(
-    free: &[(usize, &UnitProfile)],
-    budget: Bytes,
-    config: KnapsackConfig,
-    rec: &Recorder,
-) -> Vec<usize> {
-    // Everything fits: skip the DP entirely.
-    let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
-    if total.fits(budget) {
-        return free.iter().map(|(i, _)| *i).collect();
+/// Cells per DP block: one `u64` word of the take matrix.
+const LANES: usize = 64;
+
+/// A knapsack DP kept between solves, so that a window whose free units
+/// extend the previous window's can push only its new units instead of
+/// starting from an empty row.
+///
+/// Windows of one §5.3 class (stage, first-layer kind, ends-last) met in
+/// ascending length are such a chain: each appends copies of the same
+/// repeating units, and its scaled capacity is no larger, because the
+/// static and pinned bytes it must hold only grow with length.
+///
+/// Every solve checks at run time that the retained items are an exact
+/// prefix of the new ones (integer weights equal, values bit-equal) and
+/// that the new capacity is at most the last one solved at; otherwise
+/// the chain resets and solves from scratch. A GCD change or a
+/// re-bucketing of the memory axis changes the weights, so it resets too.
+/// The answer is therefore always the one [`optimize`] gives.
+///
+/// # Exactness
+///
+/// Let `C` be the new capacity, `S_i` the weight prefix sums and `V_i`
+/// the textbook rows `V_i(m) = max(V_{i−1}(m), V_{i−1}(m − w_i) + v_i)`
+/// (taking item `i` only on a strict gain) that the one-shot DP at `C`
+/// computes on `[0, min(C, S_i)]`. A retained item `i` was pushed at a
+/// capacity `C_i ≥ C` (capacities never grow along a chain), so its
+/// reach `min(C_i, S_i)` is at least `min(C, S_i)`. Cell `m` of `V_i`
+/// depends only on cells `≤ m` of `V_{i−1}`, so by induction on `i`
+/// every row value and take bit at or below `min(C, S_i)` is computed
+/// from the same operands as in the one-shot DP and is bitwise equal to
+/// it; the kernel's plateau argument (on `push`) covers cells above
+/// `S_i`. The traceback starts at `C` and reads item `i`'s bit at
+/// `min(m, reach_i) = min(m, S_i)` for a remaining capacity `m ≤ C`,
+/// the very cell the one-shot traceback reads, so both take the same
+/// items. Cells a retained item wrote above `C` are never read again:
+/// a new item updates at most `[w, min(C, S)]`, reads below that, and
+/// fills a plateau only from a cell below `C`.
+#[derive(Debug, Default)]
+pub struct Chain {
+    /// The DP row `V` over the scaled memory axis, sized for the
+    /// capacity the chain was last reset at.
+    value: Vec<[f64; LANES]>,
+    /// Take bits, item after item: item `i` owns `reach[i] / 64 + 1`
+    /// words covering cells `0..=reach[i]`.
+    take: Vec<u64>,
+    /// Each item's reach: its weight prefix sum clamped to the capacity
+    /// in effect when it was pushed.
+    reach: Vec<usize>,
+    /// The items' scaled integer weights.
+    weights: Vec<usize>,
+    /// The items' values in µs.
+    values: Vec<f64>,
+    /// Sum of `weights`, saturating.
+    prefix: usize,
+    /// The capacity of the last solve; a later solve may only be lower.
+    capacity: usize,
+}
+
+impl Chain {
+    /// [`optimize`], extending this chain's DP when the window's free
+    /// units extend the ones it last solved (see the type's
+    /// documentation). The result is the same as [`optimize`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
+    /// exceed the budget.
+    pub fn optimize(
+        &mut self,
+        units: &[UnitProfile],
+        budget_per_mb: Bytes,
+        config: KnapsackConfig,
+        rec: &Recorder,
+    ) -> Result<OptimizedStage, StrategyError> {
+        let started = rec.is_enabled().then(Instant::now);
+        rec.incr(keys::KNAPSACK_CALLS);
+        let pinned_bytes: Bytes = units
+            .iter()
+            .filter(|u| u.is_pinned())
+            .map(|u| u.mem_saved)
+            .sum();
+        let free_budget =
+            budget_per_mb
+                .checked_sub(pinned_bytes)
+                .ok_or(StrategyError::OutOfMemory {
+                    required: pinned_bytes,
+                    budget: budget_per_mb,
+                })?;
+
+        let free: Vec<(usize, &UnitProfile)> = units
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| !u.is_pinned() && u.mem_saved > Bytes::ZERO)
+            .collect();
+
+        let mut saved: Vec<bool> = units.iter().map(UnitProfile::is_pinned).collect();
+        // Zero-size free units are free to save; never recompute them.
+        for (i, u) in units.iter().enumerate() {
+            if !u.is_pinned() && u.mem_saved == Bytes::ZERO {
+                saved[i] = true;
+            }
+        }
+
+        if !free.is_empty() {
+            let chosen = self.solve(&free, free_budget, config, rec);
+            for idx in chosen {
+                saved[idx] = true;
+            }
+        }
+
+        let strategy = RecomputeStrategy::from_flags(units, saved);
+        let cost = cost_of(units, &strategy);
+        if let Some(t0) = started {
+            rec.observe(keys::KNAPSACK_US, t0.elapsed().as_secs_f64() * 1e6);
+        }
+        // Rescaling audit: the DP must never over-commit the real budget
+        // (weights round *up*, capacity rounds *down* — see `memory_axis`).
+        debug_assert!(
+            cost.saved_bytes_per_mb.fits(budget_per_mb),
+            "knapsack over-committed the unscaled budget"
+        );
+        Ok(OptimizedStage {
+            slack_bytes: budget_per_mb.saturating_sub(cost.saved_bytes_per_mb),
+            strategy,
+            cost,
+        })
     }
-    let (weights, capacity) = memory_axis(free, budget, config, rec);
-    let values: Vec<f64> = free
-        .iter()
-        .map(|(_, u)| Cost::of(u.time_f).time().as_micros())
-        .collect();
-    let (items, cells) = dp(&weights, &values, capacity);
-    rec.add(keys::KNAPSACK_CELLS, cells);
-    items.into_iter().map(|item| free[item].0).collect()
+
+    /// 0/1 knapsack over the free units; returns the original indices of
+    /// the units to save.
+    fn solve(
+        &mut self,
+        free: &[(usize, &UnitProfile)],
+        budget: Bytes,
+        config: KnapsackConfig,
+        rec: &Recorder,
+    ) -> Vec<usize> {
+        // Everything fits: skip the DP entirely.
+        let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
+        if total.fits(budget) {
+            return free.iter().map(|(i, _)| *i).collect();
+        }
+        let (weights, capacity) = memory_axis(free, budget, config, rec);
+        let values: Vec<f64> = free
+            .iter()
+            .map(|(_, u)| Cost::of(u.time_f).time().as_micros())
+            .collect();
+        let (items, cells) = self.dp(&weights, &values, capacity);
+        rec.add(keys::KNAPSACK_CELLS, cells);
+        items.into_iter().map(|item| free[item].0).collect()
+    }
+
+    /// The 0/1 knapsack DP over `weights` (≥ 1 each) and `values` (≥ 0,
+    /// in µs) at `capacity`, extending the retained items when they are
+    /// an exact prefix and `capacity` has not grown, else from scratch.
+    /// Returns the taken item indices, last item first, and the number
+    /// of cells evaluated for the items pushed.
+    fn dp(&mut self, weights: &[usize], values: &[f64], capacity: usize) -> (Vec<usize>, u64) {
+        if !self.extends_to(weights, values, capacity) {
+            self.reset(capacity);
+        }
+        self.capacity = capacity;
+        let mut cells = 0u64;
+        for (&w, &v) in weights.iter().zip(values).skip(self.weights.len()) {
+            cells += self.push(w, v);
+        }
+        (self.trace_back(), cells)
+    }
+
+    /// Whether the retained items are a prefix of `weights`/`values`
+    /// (values compared bit for bit) and `capacity` is within the row.
+    fn extends_to(&self, weights: &[usize], values: &[f64], capacity: usize) -> bool {
+        let k = self.weights.len();
+        !self.value.is_empty()
+            && capacity <= self.capacity
+            && weights.get(..k) == Some(self.weights.as_slice())
+            && values.get(..k).is_some_and(|head| {
+                head.iter()
+                    .zip(&self.values)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+    }
+
+    /// Drops every item and zeroes a row of `capacity + 1` cells.
+    fn reset(&mut self, capacity: usize) {
+        self.value.clear();
+        self.value.resize(capacity / LANES + 1, [0.0; LANES]);
+        self.take.clear();
+        self.reach.clear();
+        self.weights.clear();
+        self.values.clear();
+        self.prefix = 0;
+    }
+
+    /// Pushes one item at the current capacity and returns the cells it
+    /// evaluated, `(reach − w + 1)⁺`.
+    ///
+    /// **Reach clamp.** Let `S_i = Σ_{j≤i} w_j` and
+    /// `reach_i = min(capacity, S_i)`. For every `m ≥ S_i`, `V_i(m)` and
+    /// item `i`'s take bit at `m` are bitwise equal to those at `S_i`.
+    /// Induction on `i`: `V_0 ≡ +0.0`. For `m ≥ S_i` both operands of the
+    /// recurrence sit at or above the previous prefix sum — `m ≥ S_{i−1}`
+    /// and `m − w_i ≥ S_i − w_i = S_{i−1}` — so by hypothesis they equal
+    /// the operands at `m = S_i`, and so do the maximum and the bit. Item
+    /// `i` therefore updates only `[w_i, reach_i]`. Its reads stay at or
+    /// below `reach_i − w_i`, and before its pass the plateau
+    /// `(reach_{i−1}, reach_i]` (empty unless `reach_{i−1} = S_{i−1}`)
+    /// is filled with `V_{i−1}(reach_{i−1})`, which by the claim is
+    /// `V_{i−1}` there. Cells above `reach_i` are never written for item
+    /// `i`, so the traceback reads its bit at `min(m, reach_i)`.
+    ///
+    /// **Blocks.** The pass walks 64-cell blocks aligned to take words
+    /// from the top down. A block first copies its source window
+    /// `value[lo − w..=hi − w]` into a stack array (lanes outside
+    /// `[lo, hi]` read `−∞`, which never wins), so the update is in place
+    /// and aliasing-safe even when `w < 64`: every source cell lies in
+    /// this block or a lower one, none yet written in this pass. The
+    /// fixed-length lane loop compiles to compare, select and bit-pack.
+    ///
+    /// **Plain `f64`.** The row starts at `+0.0` and, with `values ≥ 0`,
+    /// only rises and is never NaN or `−0.0` (`+∞ + x` stays `+∞`). On
+    /// such values `>` orders every pair exactly as [`Cost`]'s
+    /// `total_cmp` does, and `−∞ + v` is `−∞` or NaN, neither of which
+    /// compares greater.
+    fn push(&mut self, w: usize, v: f64) -> u64 {
+        debug_assert!(w >= 1 && v >= 0.0, "weight {w}, value {v}");
+        let prev = self.reach.last().copied().unwrap_or(0);
+        self.prefix = self.prefix.saturating_add(w);
+        let top = self.prefix.min(self.capacity);
+        self.reach.push(top);
+        self.weights.push(w);
+        self.values.push(v);
+        let start = self.take.len();
+        self.take.resize(start + top / LANES + 1, 0);
+        if top > prev {
+            let flat = self.value.as_flattened_mut();
+            let plateau = flat[prev];
+            flat[prev + 1..=top].fill(plateau);
+        }
+        if w > top {
+            return 0;
+        }
+        let row = &mut self.take[start..];
+        for k in (w / LANES..=top / LANES).rev() {
+            let base = k * LANES;
+            let (lo, hi) = (base.max(w), (base + LANES - 1).min(top));
+            let mut src = [f64::NEG_INFINITY; LANES];
+            src[lo - base..=hi - base].copy_from_slice(&self.value.as_flattened()[lo - w..=hi - w]);
+            let mut bits = 0u64;
+            for (lane, (cur, s)) in self.value[k].iter_mut().zip(src).enumerate() {
+                let cand = s + v;
+                let gain = cand > *cur;
+                *cur = if gain { cand } else { *cur };
+                bits |= u64::from(gain) << lane;
+            }
+            row[k] = bits;
+        }
+        convert::usize_u64(top - w + 1)
+    }
+
+    /// Traces the chosen items back from the current capacity, last
+    /// item first.
+    fn trace_back(&self) -> Vec<usize> {
+        let mut chosen = Vec::new();
+        let (mut m, mut end) = (self.capacity, self.take.len());
+        for (item, (&w, &reach)) in self.weights.iter().zip(&self.reach).enumerate().rev() {
+            let start = end - (reach / LANES + 1);
+            let at = m.min(reach);
+            if self.take[start + at / LANES] >> (at % LANES) & 1 == 1 {
+                chosen.push(item);
+                m -= w;
+            }
+            end = start;
+        }
+        chosen
+    }
 }
 
 /// The DP's integer memory axis: each free unit's scaled weight and the
@@ -201,93 +409,6 @@ fn memory_axis(
         .map(|(_, u)| convert::u64_usize_saturating(u.mem_saved.get().div_ceil(scale)))
         .collect();
     (weights, capacity)
-}
-
-/// Cells per DP block: one `u64` word of the take matrix.
-const LANES: usize = 64;
-
-/// The 0/1 knapsack DP over `weights` (≥ 1 each) and `values` (≥ 0, in
-/// µs) at `capacity`. Returns the taken item indices, last item first,
-/// and the number of cells evaluated, `Σ_i (reach_i − w_i + 1)⁺`.
-///
-/// It computes the textbook recurrence
-/// `V_i(m) = max(V_{i−1}(m), V_{i−1}(m − w_i) + v_i)`, taking item `i`
-/// only on a strict gain, and traces back from `m = capacity`. Three
-/// things make it cheap without changing a single bit of the answer.
-///
-/// **Reach clamp.** Let `S_i = Σ_{j≤i} w_j` and
-/// `reach_i = min(capacity, S_i)`. For every `m ≥ S_i`, `V_i(m)` and
-/// item `i`'s take bit at `m` are bitwise equal to those at `S_i`.
-/// Induction on `i`: `V_0 ≡ +0.0`. For `m ≥ S_i` both operands of the
-/// recurrence sit at or above the previous prefix sum — `m ≥ S_{i−1}`
-/// and `m − w_i ≥ S_i − w_i = S_{i−1}` — so by hypothesis they equal
-/// the operands at `m = S_i`, and so do the maximum and the bit. Item
-/// `i` therefore updates only `[w_i, reach_i]`. Its reads stay at or
-/// below `reach_i − w_i ≤ reach_{i−1}`, and before its pass the
-/// plateau `(reach_{i−1}, reach_i]` is filled with `V_{i−1}(reach_{i−1})`,
-/// which by the claim is `V_{i−1}` there. Cells above `reach_i` are
-/// never written for item `i`, so the traceback reads its bit at
-/// `min(m, reach_i)`.
-///
-/// **Blocks.** Each pass walks 64-cell blocks aligned to take-matrix
-/// words from the top down. A block first copies its source window
-/// `value[lo − w..=hi − w]` into a stack array (lanes outside
-/// `[lo, hi]` read `−∞`, which never wins), so the update is in place
-/// and aliasing-safe even when `w < 64`: every source cell lies in this
-/// block or a lower one, none yet written in this pass. The fixed-length
-/// lane loop compiles to compare, select and bit-pack.
-///
-/// **Plain `f64`.** The row starts at `+0.0` and, with `values ≥ 0`,
-/// only rises and is never NaN or `−0.0` (`+∞ + x` stays `+∞`). On such
-/// values `>` orders every pair exactly as [`Cost`]'s `total_cmp` does,
-/// and `−∞ + v` is `−∞` or NaN, neither of which compares greater.
-fn dp(weights: &[usize], values: &[f64], capacity: usize) -> (Vec<usize>, u64) {
-    let words = capacity / LANES + 1;
-    let mut value = vec![[0.0f64; LANES]; words];
-    // take[item · words + k]: item's take bits for cells 64k..64k + 63.
-    let mut take = vec![0u64; weights.len() * words];
-    let mut reach = Vec::with_capacity(weights.len());
-    let (mut prev, mut prefix, mut cells) = (0usize, 0usize, 0u64);
-    for (row, (&w, &v)) in take.chunks_exact_mut(words).zip(weights.iter().zip(values)) {
-        debug_assert!(w >= 1 && v >= 0.0, "weight {w}, value {v}");
-        prefix = prefix.saturating_add(w);
-        let top = prefix.min(capacity);
-        let flat = value.as_flattened_mut();
-        let plateau = flat[prev];
-        flat[prev + 1..=top].fill(plateau);
-        reach.push(top);
-        prev = top;
-        if w > top {
-            continue;
-        }
-        cells += convert::usize_u64(top - w + 1);
-        for k in (w / LANES..=top / LANES).rev() {
-            let base = k * LANES;
-            let (lo, hi) = (base.max(w), (base + LANES - 1).min(top));
-            let mut src = [f64::NEG_INFINITY; LANES];
-            src[lo - base..=hi - base].copy_from_slice(&value.as_flattened()[lo - w..=hi - w]);
-            let mut bits = 0u64;
-            for (lane, (cur, s)) in value[k].iter_mut().zip(src).enumerate() {
-                let cand = s + v;
-                let gain = cand > *cur;
-                *cur = if gain { cand } else { *cur };
-                bits |= u64::from(gain) << lane;
-            }
-            row[k] = bits;
-        }
-    }
-
-    // Trace back the chosen set.
-    let mut chosen = Vec::new();
-    let mut m = capacity;
-    for item in (0..weights.len()).rev() {
-        let at = m.min(reach[item]);
-        if take[item * words + at / LANES] >> (at % LANES) & 1 == 1 {
-            chosen.push(item);
-            m -= weights[item];
-        }
-    }
-    (chosen, cells)
 }
 
 /// Greatest common divisor (used by the §5.3 rescaling).
@@ -628,7 +749,7 @@ mod tests {
         Ok(())
     }
 
-    /// The dense DP loop, the oracle for [`dp`]: one pass per item over
+    /// The dense DP loop, the oracle for [`Chain`]: one pass per item over
     /// all of `[w, capacity]`, a `Cost` row and one bit row per item.
     fn reference_dp(weights: &[usize], times: &[MicroSecs], capacity: usize) -> Vec<usize> {
         let mut value = vec![Cost::ZERO; capacity + 1];
@@ -659,8 +780,9 @@ mod tests {
         chosen
     }
 
-    /// Runs [`dp`] and [`reference_dp`] on one weight/time list.
+    /// Solves one weight/time list on `chain` and with [`reference_dp`].
     fn both_dps(
+        chain: &mut Chain,
         weights: &[usize],
         times: &[MicroSecs],
         capacity: usize,
@@ -670,7 +792,7 @@ mod tests {
             .map(|&t| Cost::of(t).time().as_micros())
             .collect();
         (
-            dp(weights, &values, capacity).0,
+            chain.dp(weights, &values, capacity).0,
             reference_dp(weights, times, capacity),
         )
     }
@@ -678,6 +800,7 @@ mod tests {
     /// Runs both DPs on the memory axis `optimize` would build for
     /// `units` at `budget`.
     fn both_dps_on_units(
+        chain: &mut Chain,
         units: &[UnitProfile],
         budget: Bytes,
         config: KnapsackConfig,
@@ -689,7 +812,7 @@ mod tests {
             .collect();
         let (weights, capacity) = memory_axis(&free, budget, config, &Recorder::disabled());
         let times: Vec<MicroSecs> = free.iter().map(|(_, u)| u.time_f).collect();
-        both_dps(&weights, &times, capacity)
+        both_dps(chain, &weights, &times, capacity)
     }
 
     /// An item time from a drawn `(kind, integer, fraction)`: mostly
@@ -723,7 +846,7 @@ mod tests {
                 weights.extend(std::iter::repeat_n(w, copies));
                 times.extend(std::iter::repeat_n(item_time(t), copies));
             }
-            let (fast, slow) = both_dps(&weights, &times, capacity);
+            let (fast, slow) = both_dps(&mut Chain::default(), &weights, &times, capacity);
             prop_assert_eq!(fast, slow);
         }
 
@@ -751,9 +874,190 @@ mod tests {
                 .collect();
             let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
             let config = KnapsackConfig { max_capacity_cells, disable_gcd: false };
-            let (fast, slow) = both_dps_on_units(&us, all * budget_pct / 100, config);
+            let (fast, slow) =
+                both_dps_on_units(&mut Chain::default(), &us, all * budget_pct / 100, config);
             prop_assert_eq!(fast, slow);
         }
+
+        /// One chain driven through a random sequence of windows answers
+        /// each exactly as the dense loop does on that window alone:
+        /// prefix extensions and truncations at a capacity no higher,
+        /// capacity increases, lists that are not a prefix (first item
+        /// dropped), a value changed in its last bit and re-bucketed
+        /// axes (weights and capacity halved), over runs of identical
+        /// items, NaN times and items heavier than the capacity.
+        #[test]
+        fn chain_matches_the_reference_loop_on_window_sequences(
+            runs in proptest::collection::vec(
+                (1usize..=300, (0u32..10, 0u32..20, 0.0f64..1e4), 1usize..=6),
+                1..10,
+            ),
+            capacity in 0usize..=2000,
+            steps in proptest::collection::vec((0u32..10, 0usize..=60, 0usize..=400), 1..12),
+        ) {
+            let (mut weights, mut times) = (Vec::new(), Vec::new());
+            for (w, t, copies) in runs {
+                weights.extend(std::iter::repeat_n(w, copies));
+                times.extend(std::iter::repeat_n(item_time(t), copies));
+            }
+            let mut chain = Chain::default();
+            let mut cap = capacity;
+            for (kind, len, delta) in steps {
+                let len = len.min(weights.len());
+                let (mut ws, mut ts) = (weights[..len].to_vec(), times[..len].to_vec());
+                let mut at = cap;
+                match kind {
+                    0..=5 => {
+                        cap = cap.saturating_sub(delta);
+                        at = cap;
+                    }
+                    6 => {
+                        cap += delta;
+                        at = cap;
+                    }
+                    7 if !ws.is_empty() => {
+                        ws.remove(0);
+                        ts.remove(0);
+                    }
+                    8 => {
+                        if let Some(t) = ts.last_mut() {
+                            *t = MicroSecs::new(f64::from_bits(t.as_micros().to_bits() ^ 1));
+                        }
+                    }
+                    _ => {
+                        ws.iter_mut().for_each(|w| *w = w.div_ceil(2));
+                        at /= 2;
+                    }
+                }
+                let (fast, slow) = both_dps(&mut chain, &ws, &ts, at);
+                prop_assert_eq!(fast, slow, "kind {} len {} capacity {}", kind, len, at);
+            }
+        }
+
+        /// The same on unit footprints in bytes: one chain over growing
+        /// and shrinking prefixes of a unit list at falling and rising
+        /// budgets, where a small cell cap re-buckets the memory axis
+        /// and changes the GCD scale along the way.
+        #[test]
+        fn chain_matches_the_reference_loop_across_rebucketing(
+            items in proptest::collection::vec(
+                (1u64..50_000, (0u32..10, 0u32..20, 0.0f64..1e4)),
+                2..30,
+            ),
+            steps in proptest::collection::vec((1usize..30, 0u64..100), 1..10),
+            max_capacity_cells in 4usize..2000,
+        ) {
+            use adapipe_model::{ComputationUnit, UnitKind};
+            let us: Vec<UnitProfile> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &(bytes, t))| UnitProfile {
+                    unit: ComputationUnit { kind: UnitKind::FfnAct, layer: i },
+                    time_f: item_time(t),
+                    time_b: MicroSecs::new(1.0),
+                    mem_saved: Bytes::new(bytes),
+                })
+                .collect();
+            let config = KnapsackConfig { max_capacity_cells, disable_gcd: false };
+            let mut chain = Chain::default();
+            for (len, pct) in steps {
+                let window = &us[..len.min(us.len())];
+                let all: Bytes = window.iter().map(|u| u.mem_saved).sum();
+                let (fast, slow) = both_dps_on_units(&mut chain, window, all * pct / 100, config);
+                prop_assert_eq!(fast, slow, "len {} at {}%", len, pct);
+            }
+        }
+    }
+
+    /// Solves `weights` (unit values) at `capacity` on `chain` and
+    /// returns the cells that solve evaluated.
+    fn chain_cells(chain: &mut Chain, weights: &[usize], capacity: usize) -> u64 {
+        chain.dp(weights, &vec![1.0; weights.len()], capacity).1
+    }
+
+    #[test]
+    fn chain_pushes_only_new_items_and_resets_otherwise() {
+        let mut chain = Chain::default();
+        // [3, 5] at 6: item 0 evaluates [3, 3], item 1 [5, 6].
+        assert_eq!(chain_cells(&mut chain, &[3, 5], 6), 3);
+        // An extension at a lower capacity pushes only item 2: [2, 5].
+        assert_eq!(chain_cells(&mut chain, &[3, 5, 2], 5), 4);
+        // A higher capacity resets: [3, 3] + [5, 7] + [2, 7].
+        assert_eq!(chain_cells(&mut chain, &[3, 5, 2], 7), 1 + 3 + 6);
+        // So does a list the retained items are not a prefix of.
+        assert_eq!(chain_cells(&mut chain, &[5, 2], 7), 1 + 6);
+        // A truncation: [5] is not extended by [2]; [5, 5] is new.
+        assert_eq!(chain_cells(&mut chain, &[5], 7), 1);
+    }
+
+    #[test]
+    fn chain_matches_the_reference_loop_on_a_gpt3_window_chain() -> TestResult {
+        use adapipe_memory::{MemoryModel, OptimizerSpec};
+        use adapipe_model::LayerSeq;
+        let model = presets::gpt3_175b();
+        let parallel = ParallelConfig::new(8, 8, 1)?;
+        let train = TrainConfig::new(1, 16384, 32)?;
+        let table = Profiler::new(hw::cluster_a()).profile(&model, &parallel, &train);
+        let seq = LayerSeq::for_model(&model);
+        let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
+        for stage in [0, 4] {
+            // Windows 1..=last, attention first, in ascending length:
+            // one §5.3 class as Algorithm 1 meets it.
+            let mut chain = Chain::default();
+            let (mut solves, mut chained, mut fresh) = (0, 0u64, 0u64);
+            for last in 1..=60 {
+                let range = LayerRange::new(1, last);
+                let Some(budget) =
+                    mem.activation_budget(&table, &seq, range, stage, Bytes::from_gib(80))
+                else {
+                    break;
+                };
+                let units = table.units_in(range);
+                let pinned: Bytes = units
+                    .iter()
+                    .filter(|u| u.is_pinned())
+                    .map(|u| u.mem_saved)
+                    .sum();
+                let Some(budget) = budget.checked_sub(pinned) else {
+                    break;
+                };
+                let free: Vec<(usize, &UnitProfile)> = units
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, u)| !u.is_pinned() && u.mem_saved > Bytes::ZERO)
+                    .collect();
+                if free
+                    .iter()
+                    .map(|(_, u)| u.mem_saved)
+                    .sum::<Bytes>()
+                    .fits(budget)
+                {
+                    continue;
+                }
+                let config = KnapsackConfig::default();
+                let (weights, capacity) = memory_axis(&free, budget, config, &Recorder::disabled());
+                let times: Vec<MicroSecs> = free.iter().map(|(_, u)| u.time_f).collect();
+                let values: Vec<f64> = times
+                    .iter()
+                    .map(|&t| Cost::of(t).time().as_micros())
+                    .collect();
+                let (got, cells) = chain.dp(&weights, &values, capacity);
+                assert_eq!(
+                    got,
+                    reference_dp(&weights, &times, capacity),
+                    "stage {stage}, layers 1..={last}"
+                );
+                solves += 1;
+                chained += cells;
+                fresh += Chain::default().dp(&weights, &values, capacity).1;
+            }
+            assert!(solves >= 10, "stage {stage}: only {solves} DP solves");
+            assert!(
+                chained * 4 < fresh,
+                "stage {stage}: the chain evaluated {chained} cells, one-shot solves {fresh}"
+            );
+        }
+        Ok(())
     }
 
     #[test]
@@ -770,8 +1074,12 @@ mod tests {
                 .map(|u| u.mem_saved)
                 .sum();
             for pct in [25u64, 60, 90] {
-                let (fast, slow) =
-                    both_dps_on_units(&us, free * pct / 100, KnapsackConfig::default());
+                let (fast, slow) = both_dps_on_units(
+                    &mut Chain::default(),
+                    &us,
+                    free * pct / 100,
+                    KnapsackConfig::default(),
+                );
                 assert!(!fast.is_empty(), "layers 1..={last} at {pct}%");
                 assert_eq!(fast, slow, "layers 1..={last} at {pct}%");
             }

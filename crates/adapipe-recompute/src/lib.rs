@@ -56,6 +56,6 @@ pub mod strategy;
 
 pub use error::StrategyError;
 pub use exhaustive::optimize_exhaustive;
-pub use knapsack::{optimize, KnapsackConfig, OptimizedStage};
+pub use knapsack::{optimize, Chain, KnapsackConfig, OptimizedStage};
 pub use offload::{optimize_hybrid, HybridStage, OffloadLink, UnitDecision};
 pub use strategy::{RecomputeStrategy, StageCost};

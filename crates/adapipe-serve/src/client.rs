@@ -57,14 +57,21 @@ pub fn request(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
+    // A server that answers before reading the whole request (a 503
+    // under backpressure) closes with the body unread, and the reset
+    // fails this write; its answer is still in the receive buffer.
+    let sent = stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body.as_bytes()))
+        .and_then(|()| stream.flush());
 
     let mut raw = Vec::new();
     // lint: allow(swallowed-result): a reset after full delivery is routine; parse decides
     let _n = stream.read_to_end(&mut raw);
-    parse_response(&raw)
+    match (parse_response(&raw), sent) {
+        (Err(_), Err(write_error)) => Err(write_error),
+        (response, _) => response,
+    }
 }
 
 /// Splits a raw response into status, headers and body.
@@ -121,6 +128,27 @@ mod tests {
         assert!(resp.is_success());
         assert_eq!(resp.header("x-adapipe-cache"), Some("hit"));
         assert_eq!(resp.body, "body");
+    }
+
+    #[test]
+    fn reads_an_answer_sent_before_the_request_body_was_read() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            conn.write_all(
+                b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n",
+            )
+            .unwrap();
+            // Dropped unread: the kernel resets the connection while the
+            // client is still sending its body.
+        });
+        let body = "x".repeat(1 << 20);
+        let resp = request(&addr, "POST", "/v1/plan", Some(&body)).unwrap();
+        server.join().unwrap();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("retry-after"), Some("1"));
     }
 
     #[test]
